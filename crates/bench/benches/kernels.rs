@@ -143,6 +143,53 @@ fn bench_topk(c: &mut Criterion) {
     group.bench_function("threshold_selection", |b| {
         b.iter(|| black_box(topk::indices_above_threshold(black_box(&values), 0.5)))
     });
+    // the serving shapes of the DIP / DIP-CA selection path (phi3-mini-sim
+    // d_model = 96 and d_ff = 320 at density 0.5), reusing their buffers
+    for (n, k) in [(96usize, 48usize), (320, 160)] {
+        let values = bench_input(n);
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        group.bench_function(&format!("top_k_by_magnitude_into_{n}_{k}"), |b| {
+            b.iter(|| {
+                topk::top_k_by_magnitude_into(black_box(&values), k, &mut keys, &mut out);
+                black_box(&out);
+            })
+        });
+    }
+    // one LFU access at DIP-CA's d_ff shape in steady state: 160 distinct
+    // columns per access, ~90% from a drifting hot set, capacity 176
+    let (n_columns, capacity, k) = (320usize, 176usize, 160usize);
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    let accesses: Vec<Vec<usize>> = (0..256)
+        .map(|t| {
+            let mut picked = vec![false; n_columns];
+            let mut cols = Vec::with_capacity(k);
+            while cols.len() < k {
+                let col = if next() % 10 < 9 {
+                    (t / 32 * 7 + next() % 200) % n_columns
+                } else {
+                    next() % n_columns
+                };
+                if !std::mem::replace(&mut picked[col], true) {
+                    cols.push(col);
+                }
+            }
+            cols
+        })
+        .collect();
+    group.bench_function("lfu_access_dip_ca_320_176", |b| {
+        let mut cache = LfuColumnCache::new(n_columns, capacity);
+        let mut t = 0usize;
+        b.iter(|| {
+            t = (t + 1) % accesses.len();
+            black_box(cache.access(black_box(&accesses[t])))
+        })
+    });
     group.finish();
 }
 

@@ -1074,21 +1074,7 @@ fn write_exposition(out: &str, model: &str, mode: &str, entries: &[(String, f64)
     let mut registry =
         telemetry::MetricsRegistry::with_const_labels(&[("mode", mode), ("model", model)]);
     for (key, value) in entries {
-        let unit = if key.ends_with("_ns") {
-            "nanoseconds per call, best-of-reps"
-        } else if key.ends_with("_us") {
-            "microseconds of virtual-clock time"
-        } else if key.ends_with("_tps") {
-            "tokens per second of wall clock"
-        } else if key.ends_with("_speedup") {
-            "speedup ratio (dimensionless)"
-        } else if key.ends_with("_ratio") {
-            "ratio (dimensionless)"
-        } else if key.ends_with("_bytes") {
-            "bytes of priced traffic"
-        } else {
-            "count (dimensionless)"
-        };
+        let (_, unit) = unit_of(key);
         let id = registry.gauge(&format!("perf_{key}"), unit);
         registry.set(id, *value);
     }
@@ -1097,6 +1083,25 @@ fn write_exposition(out: &str, model: &str, mode: &str, entries: &[(String, f64)
     let prom_out = format!("{out}.prom");
     std::fs::write(&prom_out, &exposition).expect("write exposition");
     println!("wrote {prom_out}");
+}
+
+/// The unit a key's suffix implies: the symbol `check_ratios` prints after
+/// a value (with its leading space, if any) and the exposition help text.
+fn unit_of(key: &str) -> (&'static str, &'static str) {
+    const UNITS: [(&str, &str, &str); 6] = [
+        ("_ns", " ns", "nanoseconds per call, best-of-reps"),
+        ("_us", " us", "microseconds of virtual-clock time"),
+        ("_tps", " tok/s", "tokens per second of wall clock"),
+        ("_speedup", "x", "speedup ratio (dimensionless)"),
+        ("_ratio", "x", "ratio (dimensionless)"),
+        ("_bytes", " B", "bytes of priced traffic"),
+    ];
+    UNITS
+        .iter()
+        .find(|(suffix, ..)| key.ends_with(suffix))
+        .map_or(("", "count (dimensionless)"), |&(_, symbol, help)| {
+            (symbol, help)
+        })
 }
 
 /// Compares each `keys` entry against the committed baseline and returns
@@ -1114,12 +1119,14 @@ fn check_ratios(baseline_path: &str, entries: &[(String, f64)], keys: &[&str]) -
             .find(|(k, _)| k == key)
             .map(|(_, v)| *v)
             .expect("measured entry present");
+        let (unit, _) = unit_of(key);
         if measured < expected * 0.8 {
             failures.push(format!(
-                "{key}: measured {measured:.2}x vs baseline {expected:.2}x (>20% regression)"
+                "{key}: measured {measured:.2}{unit} vs baseline {expected:.2}{unit} (>20% \
+                 regression)"
             ));
         } else {
-            println!("check {key}: {measured:.2}x vs baseline {expected:.2}x — ok");
+            println!("check {key}: {measured:.2}{unit} vs baseline {expected:.2}{unit} — ok");
         }
     }
     failures

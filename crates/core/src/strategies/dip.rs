@@ -113,7 +113,7 @@ impl MlpForward for Dip {
 
         let k_in = topk::count_for_density(x.len(), self.input_density)
             .map_err(|e| to_lm_error(e.into()))?;
-        topk::top_k_by_magnitude_into(x, k_in, &mut ws.scores, &mut ws.active_a);
+        topk::top_k_by_magnitude_into(x, k_in, &mut ws.keys, &mut ws.active_a);
 
         mlp.up_activations_input_pruned_into(x, &ws.active_a, &mut ws.up, mirrors.map(|m| &m.up))?;
         mlp.gate_activations_input_pruned_into(
@@ -128,7 +128,7 @@ impl MlpForward for Dip {
 
         let k_glu = topk::count_for_density(ws.glu.len(), self.glu_density)
             .map_err(|e| to_lm_error(e.into()))?;
-        topk::top_k_by_magnitude_into(&ws.glu, k_glu, &mut ws.scores, &mut ws.active_b);
+        topk::top_k_by_magnitude_into(&ws.glu, k_glu, &mut ws.keys, &mut ws.active_b);
         mlp.down_from_glu_into(&ws.glu, &ws.active_b, &mut ws.y, mirrors.map(|m| &m.down))?;
 
         access.up.set_subset(SliceAxis::Input, &ws.active_a);
@@ -173,7 +173,7 @@ impl MlpForward for Dip {
         ws.active_in_offsets.push(0);
         for r in 0..rows {
             let x = &xs[r * d_model..(r + 1) * d_model];
-            topk::top_k_by_magnitude_into(x, k_in, &mut ws.scores, &mut ws.row_active);
+            topk::top_k_by_magnitude_into(x, k_in, &mut ws.keys, &mut ws.row_active);
             ws.active_in.extend_from_slice(&ws.row_active);
             ws.active_in_offsets.push(ws.active_in.len());
         }
@@ -202,7 +202,7 @@ impl MlpForward for Dip {
         ws.active_glu_offsets.push(0);
         for r in 0..rows {
             let glu = &ws.glu[r * d_ff..(r + 1) * d_ff];
-            topk::top_k_by_magnitude_into(glu, k_glu, &mut ws.scores, &mut ws.row_active);
+            topk::top_k_by_magnitude_into(glu, k_glu, &mut ws.keys, &mut ws.row_active);
             ws.active_glu.extend_from_slice(&ws.row_active);
             ws.active_glu_offsets.push(ws.active_glu.len());
         }

@@ -138,14 +138,11 @@ impl DipCacheAware {
     ///
     /// Exposed for testing and for the γ-ablation experiment.
     pub fn reweight(values: &[f32], cached: &[bool], gamma: f32) -> Vec<f32> {
-        let norm = values.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-12);
+        let norm = inf_norm(values);
         values
             .iter()
             .zip(cached.iter())
-            .map(|(v, &c)| {
-                let penalty = if c { 1.0 } else { gamma };
-                v.abs() * penalty / norm
-            })
+            .map(|(&v, &c)| score(v, c, gamma, norm))
             .collect()
     }
 
@@ -156,7 +153,7 @@ impl DipCacheAware {
         gamma: f32,
     ) -> Result<Vec<usize>> {
         let mut mask = Vec::new();
-        let mut scores = Vec::new();
+        let mut keys = Vec::new();
         let mut active = Vec::new();
         Self::select_into(
             values,
@@ -164,14 +161,15 @@ impl DipCacheAware {
             density,
             gamma,
             &mut mask,
-            &mut scores,
+            &mut keys,
             &mut active,
         )?;
         Ok(active)
     }
 
-    /// Allocation-free [`DipCacheAware::select`]: mask / score / index
-    /// buffers are caller-owned and reused. Selection (and therefore the
+    /// Allocation-free [`DipCacheAware::select`]: mask / key / index
+    /// buffers are caller-owned and reused. The re-weighted scores go
+    /// straight into packed top-k keys, so selection (and therefore the
     /// cache update) is identical to the allocating variant.
     fn select_into(
         values: &[f32],
@@ -179,21 +177,36 @@ impl DipCacheAware {
         density: f32,
         gamma: f32,
         mask: &mut Vec<bool>,
-        scores: &mut Vec<f32>,
+        keys: &mut Vec<u64>,
         out: &mut Vec<usize>,
     ) -> Result<()> {
         cache.cached_mask_into(mask);
-        let norm = values.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-12);
-        scores.clear();
-        scores.extend(values.iter().zip(mask.iter()).map(|(v, &c)| {
-            let penalty = if c { 1.0 } else { gamma };
-            v.abs() * penalty / norm
-        }));
+        let norm = inf_norm(values);
+        keys.clear();
+        keys.extend(
+            values
+                .iter()
+                .zip(mask.iter())
+                .enumerate()
+                .map(|(i, (&v, &c))| topk::packed_key(score(v, c, gamma, norm), i)),
+        );
         let k = topk::count_for_density(values.len(), density)?;
-        topk::top_k_indices_into(scores, k, out);
+        topk::top_k_keys_into(keys, k, out);
         cache.access(out);
         Ok(())
     }
+}
+
+/// `||x||_inf`, floored so an all-zero token does not divide by zero.
+fn inf_norm(values: &[f32]) -> f32 {
+    values.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-12)
+}
+
+/// One column's Eq. 10 score: `|v| * (c + γ (1 - c)) / norm`.
+#[inline]
+fn score(v: f32, cached: bool, gamma: f32, norm: f32) -> f32 {
+    let penalty = if cached { 1.0 } else { gamma };
+    v.abs() * penalty / norm
 }
 
 impl MlpForward for DipCacheAware {
@@ -247,7 +260,7 @@ impl MlpForward for DipCacheAware {
             self.input_density,
             self.gamma,
             &mut ws.mask,
-            &mut ws.aux,
+            &mut ws.keys,
             &mut ws.active_a,
         )
         .map_err(to_lm_error)?;
@@ -269,7 +282,7 @@ impl MlpForward for DipCacheAware {
             self.glu_density,
             self.gamma,
             &mut ws.mask,
-            &mut ws.aux,
+            &mut ws.keys,
             &mut ws.active_b,
         )
         .map_err(to_lm_error)?;
@@ -328,7 +341,7 @@ impl MlpForward for DipCacheAware {
                 self.input_density,
                 self.gamma,
                 &mut ws.mask,
-                &mut ws.aux,
+                &mut ws.keys,
                 &mut ws.row_active,
             )
             .map_err(to_lm_error)?;
@@ -364,7 +377,7 @@ impl MlpForward for DipCacheAware {
                 self.glu_density,
                 self.gamma,
                 &mut ws.mask,
-                &mut ws.aux,
+                &mut ws.keys,
                 &mut ws.row_active,
             )
             .map_err(to_lm_error)?;

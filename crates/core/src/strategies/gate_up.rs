@@ -73,7 +73,7 @@ impl MlpForward for GatePruning {
         mlp.gate_activations_into(x, &mut ws.gate, mirrors.map(|m| &m.gate))?;
         let k = topk::count_for_density(ws.gate.len(), self.neuron_density)
             .map_err(|e| to_lm_error(e.into()))?;
-        topk::top_k_by_magnitude_into(&ws.gate, k, &mut ws.scores, &mut ws.active_a);
+        topk::top_k_by_magnitude_into(&ws.gate, k, &mut ws.keys, &mut ws.active_a);
 
         mlp.w_up.matvec_rows_into(x, &ws.active_a, &mut ws.up)?;
         ws.glu.fill(0.0);
@@ -158,7 +158,7 @@ impl MlpForward for UpPruning {
         mlp.up_activations_into(x, &mut ws.up, mirrors.map(|m| &m.up))?;
         let k = topk::count_for_density(ws.up.len(), self.neuron_density)
             .map_err(|e| to_lm_error(e.into()))?;
-        topk::top_k_by_magnitude_into(&ws.up, k, &mut ws.scores, &mut ws.active_a);
+        topk::top_k_by_magnitude_into(&ws.up, k, &mut ws.keys, &mut ws.active_a);
 
         mlp.w_gate.matvec_rows_into(x, &ws.active_a, &mut ws.gate)?;
         if let Some(bias) = &mlp.gate_bias {

@@ -26,7 +26,7 @@ fn glu_prune_scratch(
         *g = u * gate;
     }
     let k = topk::count_for_density(ws.glu.len(), density).map_err(|e| to_lm_error(e.into()))?;
-    topk::top_k_by_magnitude_into(&ws.glu, k, &mut ws.scores, &mut ws.active_a);
+    topk::top_k_by_magnitude_into(&ws.glu, k, &mut ws.keys, &mut ws.active_a);
     mlp.down_from_glu_into(&ws.glu, &ws.active_a, &mut ws.y, mirrors.map(|m| &m.down))
 }
 

@@ -103,7 +103,7 @@ impl MlpForward for PredictiveGluPruning {
         let logits = predictor.forward(x).map_err(to_lm_error)?;
         let k = topk::count_for_density(logits.len(), self.neuron_density)
             .map_err(|e| to_lm_error(e.into()))?;
-        topk::top_k_indices_into(&logits, k, &mut ws.active_a);
+        topk::top_k_indices_into(&logits, k, &mut ws.keys, &mut ws.active_a);
 
         super::glu_at_neurons_scratch(mlp, x, ws)?;
         mlp.down_from_glu_into(&ws.glu, &ws.active_a, &mut ws.y, mirrors.map(|m| &m.down))?;

@@ -12,16 +12,20 @@ use super::{AccessOutcome, ColumnCache, EvictionPolicy};
 ///
 /// Residency is a dense `column → last-access-time` array (time 0 = not
 /// resident) and the columns of the *current* access are marked in an
-/// epoch-stamped protection array, so one eviction costs one linear scan of
-/// the column range instead of the historical
-/// `O(resident × protect-list)` scan — and when every resident column is
-/// protected (the dense-access steady state) eviction fails in O(1) via the
-/// maintained unprotected-resident counter. Victim choice is unchanged:
-/// minimum `(frequency, last-access-time)` over resident, unprotected
-/// columns, and access times are unique, so the selected victim — and
-/// therefore every hit/miss/insertion — is **identical** to the historical
-/// map-based implementation (see the `matches_reference_implementation`
-/// test).
+/// epoch-stamped protection array. The protect pass also counts the
+/// access's distinct new columns: the first `free` of them fill the free
+/// slots and each later one evicts an unprotected resident while any is
+/// left, so the access evicts exactly `min(new − free, unprotected)`
+/// columns. Those victims are the minima by `(frequency,
+/// last-access-time)`, and no key of an unprotected resident changes
+/// during the access (hits and frequency bumps only touch protected
+/// columns; insertions are protected), so the whole victim set is chosen
+/// up front: a branch-free scan collects the unprotected residents and
+/// `select_nth_unstable` isolates the smallest. Access times are unique,
+/// so the victims — and therefore every hit/miss/insertion — are
+/// **identical** to those of the map-based oracle in the tests, which
+/// evicts one minimum per insertion (see the
+/// `matches_reference_implementation` test).
 #[derive(Debug, Clone)]
 pub struct LfuColumnCache {
     n_columns: usize,
@@ -37,14 +41,9 @@ pub struct LfuColumnCache {
     protected_epoch: Vec<u64>,
     epoch: u64,
     clock: u64,
-    /// Eviction order of the current access, built lazily on its first
-    /// eviction: unprotected residents sorted by `(frequency, time)`.
-    /// Valid for one access call — no key of an unprotected resident can
-    /// change mid-call (hits and frequency bumps only touch protected
-    /// columns; insertions are protected), so successive minima are exactly
-    /// this queue in order.
+    /// Eviction candidates `(frequency, time, column)` of the current
+    /// access; sized to `n_columns` at the first eviction and reused.
     evict_queue: Vec<(u64, u64, usize)>,
-    evict_cursor: usize,
 }
 
 impl LfuColumnCache {
@@ -60,7 +59,6 @@ impl LfuColumnCache {
             epoch: 0,
             clock: 0,
             evict_queue: Vec::new(),
-            evict_cursor: 0,
         }
     }
 
@@ -69,32 +67,34 @@ impl LfuColumnCache {
         self.frequency.get(column).copied().unwrap_or(0)
     }
 
-    /// Evicts the resident, unprotected column with the smallest
-    /// `(frequency, last-access-time)` key. Access times are unique, so the
-    /// victim is unique; `queue_built` marks whether the current access
-    /// already sorted its eviction order.
-    fn evict_one(&mut self, queue_built: &mut bool) -> bool {
-        if !*queue_built {
-            self.evict_queue.clear();
-            for (col, &time) in self.resident_time.iter().enumerate() {
-                if time == 0 || self.protected_epoch[col] == self.epoch {
-                    continue;
-                }
-                self.evict_queue.push((self.frequency[col], time, col));
-            }
-            self.evict_queue.sort_unstable();
-            self.evict_cursor = 0;
-            *queue_built = true;
+    /// Evicts the `count` resident, unprotected columns with the smallest
+    /// `(frequency, last-access-time)` keys (all of them if fewer) and
+    /// returns how many it evicted. Access times are unique, so the victim
+    /// set is unique.
+    fn evict_smallest(&mut self, count: usize) -> usize {
+        self.evict_queue.resize(self.n_columns, (0, 0, 0));
+        let queue = &mut self.evict_queue[..];
+        let mut len = 0;
+        for (col, ((&time, &freq), &epoch)) in self
+            .resident_time
+            .iter()
+            .zip(&self.frequency)
+            .zip(&self.protected_epoch)
+            .enumerate()
+        {
+            // written unconditionally, kept by advancing the length
+            queue[len] = (freq, time, col);
+            len += usize::from((time != 0) & (epoch != self.epoch));
         }
-        match self.evict_queue.get(self.evict_cursor) {
-            Some(&(_, _, col)) => {
-                self.evict_cursor += 1;
-                self.resident_time[col] = 0;
-                self.resident_count -= 1;
-                true
-            }
-            None => false,
+        let count = count.min(len);
+        if count < len {
+            queue[..len].select_nth_unstable(count);
         }
+        for &(_, _, col) in &queue[..count] {
+            self.resident_time[col] = 0;
+        }
+        self.resident_count -= count;
+        count
     }
 }
 
@@ -126,44 +126,43 @@ impl ColumnCache for LfuColumnCache {
     fn access(&mut self, columns: &[usize]) -> AccessOutcome {
         let mut outcome = AccessOutcome::default();
         // Protect this access's columns up front: they may not evict each
-        // other (Section 6.4). Tracking how many residents remain
-        // unprotected lets the eviction loop fail fast once none are.
+        // other (Section 6.4). Counting the distinct new columns and the
+        // residents left unprotected fixes the evictions before any insert.
         self.epoch += 1;
-        let mut queue_built = false;
         let mut unprotected_resident = self.resident_count;
+        let mut new_columns = 0usize;
         for &col in columns {
-            if col < self.n_columns && self.protected_epoch[col] != self.epoch {
-                self.protected_epoch[col] = self.epoch;
-                if self.resident_time[col] > 0 {
-                    unprotected_resident -= 1;
-                }
+            if let Some(epoch) = self.protected_epoch.get_mut(col) {
+                let fresh = *epoch != self.epoch;
+                *epoch = self.epoch;
+                let resident = self.resident_time[col] != 0;
+                unprotected_resident -= usize::from(fresh & resident);
+                new_columns += usize::from(fresh & !resident);
             }
+        }
+        let needed = new_columns.saturating_sub(self.capacity - self.resident_count);
+        if needed > 0 && unprotected_resident > 0 {
+            outcome.evictions = self.evict_smallest(needed);
         }
         for &col in columns {
             self.clock += 1;
-            if col < self.n_columns {
-                self.frequency[col] += 1;
+            if col >= self.n_columns {
+                outcome.misses += 1;
+                continue;
             }
-            if col < self.n_columns && self.resident_time[col] > 0 {
+            self.frequency[col] += 1;
+            if self.resident_time[col] > 0 {
                 self.resident_time[col] = self.clock;
                 outcome.hits += 1;
                 continue;
             }
             outcome.misses += 1;
-            if self.capacity == 0 || col >= self.n_columns {
-                continue;
+            // the victims are already gone: a miss inserts while a slot is
+            // free and is dropped once the evictions are used up
+            if self.resident_count < self.capacity {
+                self.resident_time[col] = self.clock;
+                self.resident_count += 1;
             }
-            if self.resident_count >= self.capacity {
-                if unprotected_resident == 0 || !self.evict_one(&mut queue_built) {
-                    continue;
-                }
-                unprotected_resident -= 1;
-                outcome.evictions += 1;
-            }
-            // the inserted column is part of this access, hence protected:
-            // `unprotected_resident` is unchanged by the insertion
-            self.resident_time[col] = self.clock;
-            self.resident_count += 1;
         }
         outcome
     }
@@ -313,44 +312,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_reference_implementation() {
-        // Deterministic pseudo-random access streams, mixing sparse subsets,
-        // dense sweeps, repeats and out-of-range columns.
-        let mut seed = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
+    /// Deterministic xorshift stream for the oracle tests.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed
-        };
+        }
+    }
+
+    /// Presents every access to both implementations and checks each
+    /// outcome, each column's residency and frequency, and the length.
+    fn assert_matches_reference(
+        n_columns: usize,
+        capacity: usize,
+        rounds: usize,
+        mut access: impl FnMut(usize) -> Vec<usize>,
+    ) {
+        let mut fast = LfuColumnCache::new(n_columns, capacity);
+        let mut reference = ReferenceLfu::new(n_columns, capacity);
+        for round in 0..rounds {
+            let columns = access(round);
+            assert_eq!(
+                fast.access(&columns),
+                reference.access(&columns),
+                "outcome diverged at round {round} (n={n_columns}, cap={capacity})"
+            );
+            for col in 0..n_columns {
+                assert_eq!(
+                    fast.contains(col),
+                    reference.resident.contains_key(&col),
+                    "residency diverged at round {round}, column {col}"
+                );
+                assert_eq!(fast.frequency(col), reference.frequency[col]);
+            }
+            assert_eq!(fast.len(), reference.resident.len());
+        }
+    }
+
+    #[test]
+    fn matches_reference_implementation() {
+        // Deterministic pseudo-random access streams, mixing sparse subsets,
+        // dense sweeps, repeats and out-of-range columns.
+        let mut next = xorshift(0x2545f4914f6cdd1d);
         for (n_columns, capacity) in [(32usize, 12usize), (64, 40), (16, 0), (48, 48)] {
-            let mut fast = LfuColumnCache::new(n_columns, capacity);
-            let mut reference = ReferenceLfu::new(n_columns, capacity);
-            for round in 0..200 {
-                let columns: Vec<usize> = if round % 7 == 0 {
+            assert_matches_reference(n_columns, capacity, 200, |round| {
+                if round % 7 == 0 {
                     (0..n_columns).collect() // dense sweep: all protected
                 } else {
                     let len = (next() as usize % (n_columns + 4)) + 1;
                     (0..len)
                         .map(|_| next() as usize % (n_columns + 2))
                         .collect()
-                };
-                assert_eq!(
-                    fast.access(&columns),
-                    reference.access(&columns),
-                    "outcome diverged at round {round} (n={n_columns}, cap={capacity})"
-                );
-                for col in 0..n_columns {
-                    assert_eq!(
-                        fast.contains(col),
-                        reference.resident.contains_key(&col),
-                        "residency diverged at round {round}, column {col}"
-                    );
-                    assert_eq!(fast.frequency(col), reference.frequency[col]);
                 }
-                assert_eq!(fast.len(), reference.resident.len());
-            }
+            });
+        }
+    }
+
+    /// Streams shaped like DIP-CA's selections: each access is `k` distinct
+    /// columns, ~90% of them from a hot set that drifts over time, so most
+    /// accesses evict a few columns out of a large unprotected resident
+    /// set. Every other access also repeats some of its columns and adds
+    /// out-of-range ones, and the shapes include capacity 0 and capacity n.
+    #[test]
+    fn matches_reference_on_dip_ca_shaped_streams() {
+        let mut next = xorshift(0x9e3779b97f4a7c15);
+        for (n_columns, capacity, k) in [
+            (320usize, 176usize, 160usize),
+            (96, 52, 48),
+            (96, 0, 48),
+            (96, 96, 48),
+        ] {
+            let hot = k + k / 4;
+            let mut seen = vec![usize::MAX; n_columns];
+            assert_matches_reference(n_columns, capacity, 300, |round| {
+                let shift = round / 40 * 7;
+                let mut columns = Vec::with_capacity(k + 8);
+                while columns.len() < k {
+                    let col = if next() % 10 < 9 {
+                        (shift + next() as usize % hot) % n_columns
+                    } else {
+                        next() as usize % n_columns
+                    };
+                    if seen[col] != round {
+                        seen[col] = round;
+                        columns.push(col);
+                    }
+                }
+                if round % 2 == 1 {
+                    for j in 0..4 {
+                        columns.push(columns[(next() as usize + j) % k]);
+                    }
+                    columns.push(n_columns + round % 3);
+                }
+                columns
+            });
         }
     }
 }

@@ -328,9 +328,9 @@ impl MlpAccessScratch {
 ///
 /// Buffer roles are conventional, not enforced: `up`/`gate`/`glu` are
 /// `d_ff`-sized activation buffers, `y` (`d_model`-sized) receives the block
-/// output, `active_a`/`active_b` hold index selections, `scores`/`aux` are
-/// f32 scratch (top-k magnitudes, re-weighted scores, predictor logits) and
-/// `mask` is boolean scratch (cache-state masks).
+/// output, `active_a`/`active_b` hold index selections, `keys` holds the
+/// packed top-k keys (`tensor::topk`) and `mask` is boolean scratch
+/// (cache-state masks).
 #[derive(Debug, Clone, Default)]
 pub struct MlpWorkspace {
     /// Up-projection activations (`d_ff`).
@@ -345,10 +345,8 @@ pub struct MlpWorkspace {
     pub active_a: Vec<usize>,
     /// Second index-selection buffer (e.g. DIP's active GLU columns).
     pub active_b: Vec<usize>,
-    /// f32 scratch (top-k magnitude scores).
-    pub scores: Vec<f32>,
-    /// Additional f32 scratch (re-weighted scores, predictor logits).
-    pub aux: Vec<f32>,
+    /// Packed top-k selection keys (`tensor::topk::packed_key`).
+    pub keys: Vec<u64>,
     /// Boolean scratch (cache-state masks).
     pub mask: Vec<bool>,
 }
@@ -360,7 +358,7 @@ impl MlpWorkspace {
         ws.ensure(d_model, d_ff);
         ws.active_a.reserve(d_ff.max(d_model));
         ws.active_b.reserve(d_ff.max(d_model));
-        ws.scores.reserve(d_ff.max(d_model));
+        ws.keys.reserve(d_ff.max(d_model));
         ws
     }
 
@@ -404,10 +402,8 @@ pub struct MlpBatchWorkspace {
     pub active_glu_offsets: Vec<usize>,
     /// Per-row index scratch (one row's selection before CSR packing).
     pub row_active: Vec<usize>,
-    /// Per-row f32 scratch (top-k magnitude scores).
-    pub scores: Vec<f32>,
-    /// Per-row f32 scratch (re-weighted scores, predictor logits).
-    pub aux: Vec<f32>,
+    /// Per-row packed top-k selection keys (`tensor::topk::packed_key`).
+    pub keys: Vec<u64>,
     /// Per-row boolean scratch (cache-state masks).
     pub mask: Vec<bool>,
     /// Single-row workspace for strategies without a fused batch kernel.

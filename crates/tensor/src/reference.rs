@@ -187,6 +187,30 @@ pub fn transpose(m: &Matrix) -> Matrix {
     out
 }
 
+/// Comparator full sort behind [`crate::topk::top_k_indices`]: every index
+/// sorted by score descending, ties by lower index, NaN last, truncated to
+/// `k`. The parity oracle of the packed-key selection.
+pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+    // `None < Some(_)`, so mapping NaN to `None` ranks it below `-inf`
+    let rank = |i: usize| Some(scores[i]).filter(|s| !s.is_nan());
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    idx.sort_by(|&a, &b| {
+        rank(b)
+            .partial_cmp(&rank(a))
+            .expect("NaN-free ranks are totally ordered")
+            .then(a.cmp(&b))
+    });
+    idx.truncate(k);
+    idx
+}
+
+/// [`top_k_indices`] over `|values|`: the oracle of
+/// [`crate::topk::top_k_by_magnitude`].
+pub fn top_k_by_magnitude(values: &[f32], k: usize) -> Vec<usize> {
+    let magnitudes: Vec<f32> = values.iter().map(|v| v.abs()).collect();
+    top_k_indices(&magnitudes, k)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -483,3 +483,75 @@ fn threaded_matvec_parity_above_fork_threshold() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }
+
+/// Top-k scores drawn from a small grid so ties are common, plus both
+/// zeros, both infinities, subnormals, negatives and NaN.
+fn topk_score() -> impl Strategy<Value = f32> {
+    (0u32..10, -6i64..6).prop_map(|(kind, step)| match kind {
+        0 => 0.0,
+        6 => f32::NAN,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::from_bits(1 + step.unsigned_abs() as u32) * step.signum() as f32,
+        5 => f32::MIN_POSITIVE * step as f32,
+        _ => step as f32 / 4.0,
+    })
+}
+
+/// Both packed-key entry points against the comparator oracle for every
+/// `k ∈ 0..=n+1`, with the key and output buffers reused across calls.
+fn assert_topk_matches_reference(scores: &[f32], keys: &mut Vec<u64>, out: &mut Vec<usize>) {
+    for k in 0..=scores.len() + 1 {
+        tensor::topk::top_k_indices_into(scores, k, keys, out);
+        assert_eq!(
+            *out,
+            reference::top_k_indices(scores, k),
+            "top_k_indices n={} k={k}",
+            scores.len()
+        );
+        tensor::topk::top_k_by_magnitude_into(scores, k, keys, out);
+        assert_eq!(
+            *out,
+            reference::top_k_by_magnitude(scores, k),
+            "top_k_by_magnitude n={} k={k}",
+            scores.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn topk_matches_reference(scores in prop::collection::vec(topk_score(), 0..40)) {
+        let (mut keys, mut out) = (vec![u64::MAX; 7], vec![usize::MAX; 3]);
+        assert_topk_matches_reference(&scores, &mut keys, &mut out);
+    }
+}
+
+/// The serving shapes of the DIP/DIP-CA selection path (phi3-mini-sim:
+/// `d_model = 96`, `d_ff = 320`, density 0.5) on continuous scores with a
+/// sprinkling of exact ties.
+#[test]
+fn topk_parity_at_serving_shapes() {
+    let (mut keys, mut out) = (Vec::new(), Vec::new());
+    for (n, k) in [(96usize, 48usize), (320, 160)] {
+        for seed in 0..8u32 {
+            let scores: Vec<f32> = (0..n as u32)
+                .map(|i| {
+                    let v = ((i * 7 + seed * 13) as f32 * 0.37).sin();
+                    if i % 11 == 0 {
+                        0.25
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            tensor::topk::top_k_indices_into(&scores, k, &mut keys, &mut out);
+            assert_eq!(out, reference::top_k_indices(&scores, k));
+            tensor::topk::top_k_by_magnitude_into(&scores, k, &mut keys, &mut out);
+            assert_eq!(out, reference::top_k_by_magnitude(&scores, k));
+        }
+    }
+}

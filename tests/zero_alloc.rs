@@ -5,12 +5,18 @@
 //! flat storage), a window of further decoded tokens must perform **zero**
 //! heap allocations — the contract of `lm::DecodeScratch` and the `_into`
 //! kernel plumbing.
+//!
+//! The counting allocator is process-global, so every test body runs under
+//! one lock ([`serial`]): run in parallel, each test would count its
+//! neighbours' allocations. A thread-local counter is not an option — it
+//! would stop counting the allocations of `WorkerPool` threads.
 
-use dip_core::strategies::Dip;
+use dip_core::strategies::{Dip, DipCacheAware};
 use dynamic_sparsity::lm::mlp::DenseMlp;
 use dynamic_sparsity::lm::{build_synthetic, DecodeScratch, MlpForward, ModelConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -39,6 +45,30 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serialises the tests of this file. Poison-tolerant: one failing test
+/// must not fail the ones after it.
+///
+/// The lock orders test *bodies* only: the test harness still allocates
+/// around them (the thread that just released the lock reports its result,
+/// the harness spawns the next test thread). Before handing the lock over,
+/// wait until the counter has been still for a few milliseconds, so a fast
+/// (release-mode) warm-up cannot put that traffic inside a measured window.
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut last = allocations();
+    for _ in 0..200 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let now = allocations();
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    guard
 }
 
 fn assert_zero_alloc_decode(name: &str, mut strategy: Box<dyn MlpForward>) {
@@ -73,6 +103,7 @@ fn assert_zero_alloc_decode(name: &str, mut strategy: Box<dyn MlpForward>) {
 
 #[test]
 fn dense_decode_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     assert_zero_alloc_decode("dense", Box::new(DenseMlp));
 }
 
@@ -116,6 +147,7 @@ fn assert_zero_alloc_prefill(name: &str, mut strategy: Box<dyn MlpForward>) {
 
 #[test]
 fn batched_prefill_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     assert_zero_alloc_prefill("dense", Box::new(DenseMlp));
     assert_zero_alloc_prefill(
         "dip@0.5/0.5",
@@ -164,6 +196,7 @@ fn assert_zero_alloc_fused_decode(name: &str, mut strategy: Box<dyn MlpForward>)
 
 #[test]
 fn fused_decode_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     assert_zero_alloc_fused_decode("dense", Box::new(DenseMlp));
     assert_zero_alloc_fused_decode(
         "dip@0.5/0.5",
@@ -179,6 +212,7 @@ fn fused_decode_is_allocation_free_in_steady_state() {
 #[test]
 fn batched_engine_rounds_allocate_identically() {
     use dynamic_sparsity::serve::{GenRequest, ServeConfig, ServeEngine, StrategySpec};
+    let _serial = serial();
 
     let config = ModelConfig::tiny();
     let model = build_synthetic(&config, 7).expect("tiny model builds");
@@ -238,6 +272,7 @@ fn batched_engine_rounds_allocate_identically() {
 #[test]
 fn paged_engine_rounds_allocate_identically() {
     use dynamic_sparsity::serve::{GenRequest, ServeConfig, ServeEngine, StrategySpec};
+    let _serial = serial();
 
     let config = ModelConfig::tiny();
     let model = build_synthetic(&config, 7).expect("tiny model builds");
@@ -296,10 +331,40 @@ fn paged_engine_rounds_allocate_identically() {
 
 #[test]
 fn dip_decode_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     assert_zero_alloc_decode(
         "dip@0.5/0.5",
         Box::new(Dip::new(0.5, 0.5).expect("valid densities")),
     );
+}
+
+/// DIP-CA's steady state: its packed top-k keys and the LFU eviction queue
+/// of its cache models reach their full size during warm-up, on the
+/// single-row and the fused multi-row path.
+#[test]
+fn dip_ca_decode_is_allocation_free_in_steady_state() {
+    let _serial = serial();
+    let config = ModelConfig::tiny();
+    let dip_ca = || -> Box<dyn MlpForward> {
+        let capacity = dynamic_sparsity::hwsim::BlockCacheCapacity {
+            up: config.d_model * 2 / 5,
+            gate: config.d_model * 2 / 5,
+            down: config.d_ff * 2 / 5,
+        };
+        Box::new(
+            DipCacheAware::new(
+                0.5,
+                0.5,
+                0.2,
+                config.d_model,
+                config.d_ff,
+                vec![capacity; config.n_layers],
+            )
+            .expect("valid DIP-CA configuration"),
+        )
+    };
+    assert_zero_alloc_decode("dip-ca@0.5/0.5", dip_ca());
+    assert_zero_alloc_fused_decode("dip-ca@0.5/0.5", dip_ca());
 }
 
 /// Steady-state decode **with metrics enabled** stays allocation-free: every
@@ -312,6 +377,7 @@ fn dip_decode_is_allocation_free_in_steady_state() {
 #[test]
 fn decode_with_metrics_enabled_is_allocation_free_in_steady_state() {
     use dynamic_sparsity::telemetry::{EventKind, Telemetry, TelemetryConfig};
+    let _serial = serial();
 
     let model = build_synthetic(&ModelConfig::tiny(), 7).expect("tiny model builds");
     let mut state = model.new_decode_state();
@@ -385,6 +451,7 @@ fn open_loop_steady_state_allocations_are_bounded_and_leak_free() {
         ArrivalProcess, GenRequest, RequestTemplate, SchedulerPolicy, ServeConfig, ServeEngine,
         StrategySpec, Tier, Workload,
     };
+    let _serial = serial();
 
     let config = ModelConfig::tiny();
     let model = build_synthetic(&config, 7).expect("tiny model builds");
