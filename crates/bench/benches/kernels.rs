@@ -35,7 +35,7 @@ fn bench_matvec(c: &mut Criterion) {
 
 /// Kernel variants at phi3-mini shapes (`W_u`: d_ff × d_model = 320 × 96):
 /// naive reference vs allocating vs `_into` vs gathered column-sparse vs
-/// pre-transposed mirror vs worker-pool threaded. The perf trajectory's
+/// packed panels vs worker-pool threaded. The perf trajectory's
 /// `BENCH_PR3.json` is produced from the same comparisons by the
 /// `perf_report` bin.
 fn bench_kernels_phi3_shapes(c: &mut Criterion) {
@@ -45,7 +45,7 @@ fn bench_kernels_phi3_shapes(c: &mut Criterion) {
     let mlp = &model.layers[0].mlp;
     let x = bench_input(mlp.d_model());
     let active: Vec<usize> = (0..mlp.d_model()).step_by(2).collect();
-    let mirror = mlp.w_up.transpose();
+    let packed = tensor::PackedMatrix::pack(&mlp.w_up);
     let mut out = vec![0.0f32; mlp.d_ff()];
 
     let mut group = c.benchmark_group("kernels");
@@ -64,10 +64,10 @@ fn bench_kernels_phi3_shapes(c: &mut Criterion) {
             black_box(&out);
         })
     });
-    group.bench_function("matvec_mirrored", |b| {
+    group.bench_function("matvec_packed", |b| {
         b.iter(|| {
             mlp.w_up
-                .matvec_mirrored(black_box(&mirror), black_box(&x), &mut out)
+                .matvec_packed(black_box(&packed), black_box(&x), &mut out)
                 .unwrap();
             black_box(&out);
         })
@@ -91,11 +91,11 @@ fn bench_kernels_phi3_shapes(c: &mut Criterion) {
             black_box(&out);
         })
     });
-    group.bench_function("matvec_cols_mirrored_50pct", |b| {
+    group.bench_function("matvec_cols_packed_50pct", |b| {
         b.iter(|| {
             mlp.w_up
-                .matvec_cols_mirrored(
-                    black_box(&mirror),
+                .matvec_cols_packed(
+                    black_box(&packed),
                     black_box(&x),
                     black_box(&active),
                     &mut out,

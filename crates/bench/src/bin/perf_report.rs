@@ -5,9 +5,8 @@
 //!
 //! * **kernels** — naive reference loops vs the optimised single-RHS and
 //!   batched (multi-RHS "skinny GEMM") kernels at phi3-mini shapes,
-//! * **kernels_packed** — the packed register-blocked panel kernels vs the
-//!   transposed-mirror and reference paths at the same shapes, plus the
-//!   fused INT4/INT8 dequant-matvec vs materialise-then-matvec (at a
+//! * **kernels_packed** — the packed register-blocked panel kernels at the
+//!   same shapes, plus the fused INT4/INT8 dequant-matvec vs materialise-then-matvec (at a
 //!   weight-streaming shape where the 8x smaller packed codes pay off),
 //! * **single-stream decode** — the seed-replica allocating loop on
 //!   reference kernels vs the zero-allocation scratch path (PR 3's
@@ -166,8 +165,11 @@ fn seed_forward_token(
         lm::rope::apply_rope_multihead(&mut q, head_dim, pos, model.config.rope_theta);
         lm::rope::apply_rope_multihead(&mut k, head_dim, pos, model.config.rope_theta);
         let cache = &mut state.kv[li];
-        cache.push(k, v).unwrap();
+        cache.push_slices(&k, &v).unwrap();
         let seq_len = cache.len();
+        let pool = cache.pool_handle().borrow();
+        let ps = cache.page_size();
+        let slot = |t: usize| (cache.pages()[t / ps], t % ps);
         let scale = 1.0 / (head_dim as f32).sqrt();
         let mut attended = vec![0.0f32; model.config.n_heads * head_dim];
         for h in 0..model.config.n_heads {
@@ -175,14 +177,16 @@ fn seed_forward_token(
             let q_head = &q[h * head_dim..(h + 1) * head_dim];
             let mut scores = Vec::with_capacity(seq_len);
             for t in 0..seq_len {
-                let key = cache.key(t).unwrap();
+                let (page, s) = slot(t);
+                let key = pool.key(page, s);
                 let k_head = &key[kv_head * head_dim..(kv_head + 1) * head_dim];
                 scores.push(Vector::dot(q_head, k_head).unwrap() * scale);
             }
             let weights = Vector::softmax(&scores).unwrap();
             let out = &mut attended[h * head_dim..(h + 1) * head_dim];
             for (t, &w) in weights.iter().enumerate() {
-                let value = cache.value(t).unwrap();
+                let (page, s) = slot(t);
+                let value = pool.value(page, s);
                 let v_head = &value[kv_head * head_dim..(kv_head + 1) * head_dim];
                 for (o, vv) in out.iter_mut().zip(v_head.iter()) {
                     *o += w * vv;
@@ -504,7 +508,6 @@ fn main() {
         })
         .collect();
     let active: Vec<usize> = (0..mlp.d_model()).step_by(2).collect();
-    let mirror = mlp.w_up.transpose();
     let mut out = vec![0.0f32; mlp.d_ff()];
 
     let packed_up = tensor::PackedMatrix::pack(&mlp.w_up);
@@ -514,11 +517,6 @@ fn main() {
     });
     let fast_matvec = best_ns(kernel_reps, 200, || {
         mlp.w_up.matvec_into(black_box(&x), &mut out).unwrap()
-    });
-    let mirrored_matvec = best_ns(kernel_reps, 200, || {
-        mlp.w_up
-            .matvec_mirrored(&mirror, black_box(&x), &mut out)
-            .unwrap()
     });
     let packed_matvec = best_ns(kernel_reps, 200, || {
         mlp.w_up
@@ -533,11 +531,6 @@ fn main() {
             .matvec_cols_into(black_box(&x), &active, &mut out)
             .unwrap()
     });
-    let mirrored_cols = best_ns(kernel_reps, 200, || {
-        mlp.w_up
-            .matvec_cols_mirrored(&mirror, black_box(&x), &active, &mut out)
-            .unwrap()
-    });
     let packed_cols = best_ns(kernel_reps, 200, || {
         mlp.w_up
             .matvec_cols_packed(&packed_up, black_box(&x), &active, &mut out)
@@ -545,19 +538,17 @@ fn main() {
     });
     entries.push(("kernel_matvec_reference_ns".into(), naive_matvec));
     entries.push(("kernel_matvec_optimized_ns".into(), fast_matvec));
-    entries.push(("kernel_matvec_mirrored_ns".into(), mirrored_matvec));
     entries.push(("kernel_matvec_packed_ns".into(), packed_matvec));
     entries.push((
         "kernel_matvec_speedup".into(),
-        naive_matvec / mirrored_matvec.min(fast_matvec).min(packed_matvec),
+        naive_matvec / fast_matvec.min(packed_matvec),
     ));
     entries.push(("kernel_matvec_cols50_reference_ns".into(), naive_cols));
     entries.push(("kernel_matvec_cols50_gathered_ns".into(), fast_cols));
-    entries.push(("kernel_matvec_cols50_mirrored_ns".into(), mirrored_cols));
     entries.push(("kernel_matvec_cols50_packed_ns".into(), packed_cols));
     entries.push((
         "kernel_matvec_cols50_speedup".into(),
-        naive_cols / mirrored_cols.min(fast_cols).min(packed_cols),
+        naive_cols / fast_cols.min(packed_cols),
     ));
 
     // batched (multi-RHS) kernels: 8 stacked activation vectors, one weight
@@ -572,42 +563,25 @@ fn main() {
             .matvec_batch_into(black_box(&xs), batch_k, &mut out_batch)
             .unwrap()
     });
-    let batch_mirrored_ns = best_ns(kernel_reps, 50, || {
-        mlp.w_up
-            .matvec_batch_mirrored(&mirror, black_box(&xs), batch_k, &mut out_batch)
-            .unwrap()
-    });
     let batch_packed_ns = best_ns(kernel_reps, 50, || {
         mlp.w_up
             .matvec_batch_packed(&packed_up, black_box(&xs), batch_k, &mut out_batch)
             .unwrap()
     });
-    let per_token_batch = (batch_ns / batch_k as f64)
-        .min(batch_mirrored_ns / batch_k as f64)
-        .min(batch_packed_ns / batch_k as f64);
+    let per_token_batch = (batch_ns / batch_k as f64).min(batch_packed_ns / batch_k as f64);
     entries.push(("kernel_matvec_batch8_ns".into(), batch_ns));
-    entries.push(("kernel_matvec_batch8_mirrored_ns".into(), batch_mirrored_ns));
     entries.push(("kernel_matvec_batch8_packed_ns".into(), batch_packed_ns));
     entries.push((
         "kernel_matvec_batch8_per_token_speedup".into(),
-        mirrored_matvec.min(fast_matvec).min(packed_matvec) / per_token_batch,
+        fast_matvec.min(packed_matvec) / per_token_batch,
     ));
 
-    // ---- kernels_packed: the packed register-blocked panels against the
-    //      transposed-mirror path they replace (same shapes as above), plus
-    //      the fused INT4/INT8 dequant-matvec against materialising the f32
-    //      reconstruction and streaming it. The f32-vs-packed rows above are
-    //      L2-resident; the fused comparison runs at a weight-streaming
-    //      shape (d_ff x d_model of a mid-size model) where the matvec is
-    //      memory-bound and the 8x/4x smaller codes buy real bandwidth. ----
-    entries.push((
-        "kernel_packed_vs_mirrored_speedup".into(),
-        mirrored_matvec / packed_matvec,
-    ));
-    entries.push((
-        "kernel_packed_batch8_vs_mirrored_speedup".into(),
-        batch_mirrored_ns / batch_packed_ns,
-    ));
+    // ---- kernels_packed: the fused INT4/INT8 dequant-matvec against
+    //      materialising the f32 reconstruction and streaming it. The f32
+    //      rows above are L2-resident; the fused comparison runs at a
+    //      weight-streaming shape (d_ff x d_model of a mid-size model) where
+    //      the matvec is memory-bound and the 8x/4x smaller codes buy real
+    //      bandwidth. ----
     {
         use quant::{BlockwiseQuantizer, PackedQuantMatrix};
         use tensor::QuantMatvec;

@@ -1,8 +1,7 @@
 //! Grouped-query attention (GQA) for single-token decoding.
 
 use crate::error::Result;
-use crate::kv_cache::KvCache;
-use crate::kv_paged::{KvBacking, PagedKv};
+use crate::kv_paged::PagedKv;
 use crate::rope;
 use crate::scratch::AttnScratch;
 use serde::{Deserialize, Serialize};
@@ -82,7 +81,7 @@ impl Attention {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying projections and cache.
-    pub fn forward_token(&self, x: &[f32], pos: usize, cache: &mut KvBacking) -> Result<Vec<f32>> {
+    pub fn forward_token(&self, x: &[f32], pos: usize, cache: &mut PagedKv) -> Result<Vec<f32>> {
         let mut scratch = AttnScratch::default();
         let mut out = vec![0.0f32; self.w_o.rows()];
         self.forward_token_into(x, pos, cache, &mut scratch, &mut out, None)?;
@@ -92,7 +91,7 @@ impl Attention {
     /// Allocation-free [`Attention::forward_token`]: projections, per-head
     /// scores/weights and the attended vector live in `scratch`, the output
     /// (`d_model` values) is written into `out`. `mirrors`, when given, are
-    /// this block's pre-transposed projections (see
+    /// this block's packed projections (see
     /// [`crate::scratch::ModelMirrors`]). Bitwise identical to the
     /// allocating variant either way.
     ///
@@ -103,7 +102,7 @@ impl Attention {
         &self,
         x: &[f32],
         pos: usize,
-        cache: &mut KvBacking,
+        cache: &mut PagedKv,
         scratch: &mut AttnScratch,
         out: &mut [f32],
         mirrors: Option<&crate::scratch::AttnMirrors>,
@@ -115,9 +114,9 @@ impl Attention {
 
         match mirrors {
             Some(m) => {
-                self.w_q.matvec_packed(&m.q.packed, x, &mut scratch.q)?;
-                self.w_k.matvec_packed(&m.k.packed, x, &mut scratch.k)?;
-                self.w_v.matvec_packed(&m.v.packed, x, &mut scratch.v)?;
+                self.w_q.matvec_packed(&m.q, x, &mut scratch.q)?;
+                self.w_k.matvec_packed(&m.k, x, &mut scratch.k)?;
+                self.w_v.matvec_packed(&m.v, x, &mut scratch.v)?;
             }
             None => {
                 self.w_q.matvec_into(x, &mut scratch.q)?;
@@ -137,9 +136,7 @@ impl Attention {
         self.attend_row(pos, cache, q, k, v, scores, weights, attended)?;
 
         match mirrors {
-            Some(m) => Ok(self
-                .w_o
-                .matvec_packed(&m.o.packed, &scratch.attended, out)?),
+            Some(m) => Ok(self.w_o.matvec_packed(&m.o, &scratch.attended, out)?),
             None => Ok(self.w_o.matvec_into(&scratch.attended, out)?),
         }
     }
@@ -173,9 +170,9 @@ impl Attention {
     ) -> Result<()> {
         match mirrors {
             Some(m) => {
-                self.w_q.matvec_batch_packed(&m.q.packed, xs, rows, q)?;
-                self.w_k.matvec_batch_packed(&m.k.packed, xs, rows, k)?;
-                self.w_v.matvec_batch_packed(&m.v.packed, xs, rows, v)?;
+                self.w_q.matvec_batch_packed(&m.q, xs, rows, q)?;
+                self.w_k.matvec_batch_packed(&m.k, xs, rows, k)?;
+                self.w_v.matvec_batch_packed(&m.v, xs, rows, v)?;
             }
             None => {
                 self.w_q.matvec_batch_into(xs, rows, q)?;
@@ -199,9 +196,7 @@ impl Attention {
         mirrors: Option<&crate::scratch::AttnMirrors>,
     ) -> Result<()> {
         match mirrors {
-            Some(m) => Ok(self
-                .w_o
-                .matvec_batch_packed(&m.o.packed, attended, rows, out)?),
+            Some(m) => Ok(self.w_o.matvec_batch_packed(&m.o, attended, rows, out)?),
             None => Ok(self.w_o.matvec_batch_into(attended, rows, out)?),
         }
     }
@@ -214,25 +209,20 @@ impl Attention {
     ///
     /// # Kernel shape
     ///
-    /// The reductions run over the cache's *transposed* component rows
-    /// ([`KvCache::keys_t_row`]): each score accumulates its
+    /// The reductions run over each page's *transposed* component rows
+    /// ([`crate::KvPagePool::keys_t_row`]): each score accumulates its
     /// `q_d · k_d` products with `d` ascending (a component-outer axpy over
-    /// contiguous positions), and each attended component is one contiguous
-    /// dot over ascending positions. That is exactly the per-output
-    /// operation sequence of the historical position-outer loops — same
-    /// multiplies, same addition order — so results are **bitwise
-    /// identical** while the inner loops run at SIMD width over positions
-    /// instead of `head_dim`-length strips.
+    /// contiguous positions), and each attended component accumulates its
+    /// position contributions in ascending order. That is exactly the
+    /// per-output operation sequence of the naive position-outer loops —
+    /// same multiplies, same addition order — so results are **bitwise
+    /// identical** to them while the inner loops run at SIMD width over
+    /// positions instead of `head_dim`-length strips.
     ///
-    /// # Paged backing
-    ///
-    /// For a [`PagedKv`] backing the same reductions walk positions page
-    /// segment by page segment (a page's transposed rows cannot span
-    /// pages), but every score and every attended component still receives
-    /// the *identical sequence* of multiply-adds between the identical
-    /// accumulator loads and stores — the segmentation changes which slice
-    /// is indexed, never the per-output operation order — so the paged
-    /// kernel is bit-for-bit equal to the flat oracle.
+    /// A page's transposed rows cannot span pages, so the score pass walks
+    /// positions page segment by page segment; the segmentation changes
+    /// which slice is indexed, never the per-output operation order, so
+    /// outputs are bitwise independent of the page size.
     ///
     /// # Errors
     ///
@@ -241,7 +231,7 @@ impl Attention {
     pub fn attend_row(
         &self,
         pos: usize,
-        cache: &mut KvBacking,
+        cache: &mut PagedKv,
         q: &mut [f32],
         k: &mut [f32],
         v: &[f32],
@@ -252,147 +242,14 @@ impl Attention {
         rope::apply_rope_multihead(q, self.head_dim, pos, self.rope_theta);
         rope::apply_rope_multihead(k, self.head_dim, pos, self.rope_theta);
 
-        match cache {
-            KvBacking::Flat(c) => {
-                c.push_slices(k, v)?;
-                self.attend_flat(c, q, scores, weights, attended)
-            }
-            KvBacking::Paged(p) => {
-                p.push_slices(k, v)?;
-                self.attend_paged(p, q, scores, weights, attended)
-            }
-        }
+        cache.push_slices(k, v)?;
+        self.attend(cache, q, scores, weights, attended)
     }
 
-    /// Attention over a flat [`KvCache`] (the bitwise oracle kernel).
-    fn attend_flat(
-        &self,
-        cache: &KvCache,
-        q: &[f32],
-        scores: &mut Vec<f32>,
-        weights: &mut Vec<f32>,
-        attended: &mut [f32],
-    ) -> Result<()> {
-        let group = self.n_heads / self.n_kv_heads;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let seq_len = cache.len();
-        scores.resize(self.n_heads * seq_len, 0.0);
-        weights.resize(self.n_heads * seq_len, 0.0);
-
-        for h in 0..self.n_heads {
-            let kv_head = h / group;
-            let score_row = &mut scores[h * seq_len..(h + 1) * seq_len];
-            score_row.fill(0.0);
-            // four components in flight: each score adds its `q_d · k_d`
-            // products in ascending-`d` order (in-quad sequence ascending),
-            // four fused multiply-adds per score load/store
-            let mut i = 0usize;
-            while i + 4 <= self.head_dim {
-                let d = kv_head * self.head_dim + i;
-                let qb = &q[h * self.head_dim + i..h * self.head_dim + i + 4];
-                let (q0, q1, q2, q3) = (qb[0], qb[1], qb[2], qb[3]);
-                let k0 = cache.keys_t_row(d);
-                let k1 = cache.keys_t_row(d + 1);
-                let k2 = cache.keys_t_row(d + 2);
-                let k3 = cache.keys_t_row(d + 3);
-                for (t, s) in score_row.iter_mut().enumerate() {
-                    let mut acc = *s;
-                    acc += q0 * k0[t];
-                    acc += q1 * k1[t];
-                    acc += q2 * k2[t];
-                    acc += q3 * k3[t];
-                    *s = acc;
-                }
-                i += 4;
-            }
-            while i < self.head_dim {
-                let qv = q[h * self.head_dim + i];
-                let k_row = cache.keys_t_row(kv_head * self.head_dim + i);
-                for (s, &kv) in score_row.iter_mut().zip(k_row.iter()) {
-                    *s += qv * kv;
-                }
-                i += 1;
-            }
-            for s in score_row.iter_mut() {
-                *s *= scale;
-            }
-        }
-        for h in 0..self.n_heads {
-            Vector::softmax_into(
-                &scores[h * seq_len..(h + 1) * seq_len],
-                &mut weights[h * seq_len..(h + 1) * seq_len],
-            )?;
-        }
-        for h in 0..self.n_heads {
-            let kv_head = h / group;
-            let w_row = &weights[h * seq_len..(h + 1) * seq_len];
-            let head_out = &mut attended[h * self.head_dim..(h + 1) * self.head_dim];
-            head_out.fill(0.0);
-            // four positions in flight: each output component keeps its own
-            // accumulator and adds position contributions in ascending
-            // order — four fused multiply-adds per output load/store,
-            // bitwise identical to the one-position-at-a-time walk
-            let lo = kv_head * self.head_dim;
-            let hi = (kv_head + 1) * self.head_dim;
-            let mut t = 0usize;
-            while t + 8 <= seq_len {
-                let v0 = &cache.value(t).expect("position exists")[lo..hi];
-                let v1 = &cache.value(t + 1).expect("position exists")[lo..hi];
-                let v2 = &cache.value(t + 2).expect("position exists")[lo..hi];
-                let v3 = &cache.value(t + 3).expect("position exists")[lo..hi];
-                let v4 = &cache.value(t + 4).expect("position exists")[lo..hi];
-                let v5 = &cache.value(t + 5).expect("position exists")[lo..hi];
-                let v6 = &cache.value(t + 6).expect("position exists")[lo..hi];
-                let v7 = &cache.value(t + 7).expect("position exists")[lo..hi];
-                let w = &w_row[t..t + 8];
-                for (i, o) in head_out.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    acc += w[0] * v0[i];
-                    acc += w[1] * v1[i];
-                    acc += w[2] * v2[i];
-                    acc += w[3] * v3[i];
-                    acc += w[4] * v4[i];
-                    acc += w[5] * v5[i];
-                    acc += w[6] * v6[i];
-                    acc += w[7] * v7[i];
-                    *o = acc;
-                }
-                t += 8;
-            }
-            while t + 4 <= seq_len {
-                let v0 = &cache.value(t).expect("position exists")[lo..hi];
-                let v1 = &cache.value(t + 1).expect("position exists")[lo..hi];
-                let v2 = &cache.value(t + 2).expect("position exists")[lo..hi];
-                let v3 = &cache.value(t + 3).expect("position exists")[lo..hi];
-                let (w0, w1, w2, w3) = (w_row[t], w_row[t + 1], w_row[t + 2], w_row[t + 3]);
-                for (i, o) in head_out.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    acc += w0 * v0[i];
-                    acc += w1 * v1[i];
-                    acc += w2 * v2[i];
-                    acc += w3 * v3[i];
-                    *o = acc;
-                }
-                t += 4;
-            }
-            while t < seq_len {
-                let v = &cache.value(t).expect("position exists")[lo..hi];
-                let w = w_row[t];
-                for (o, &vv) in head_out.iter_mut().zip(v.iter()) {
-                    *o += w * vv;
-                }
-                t += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Attention over a [`PagedKv`] page table: the same reductions as
-    /// [`Attention::attend_flat`], with the score pass walking each page's
-    /// transposed rows segment by segment and the value pass resolving each
-    /// position through the page table. Per-output operation order is
-    /// identical, so the results are bitwise equal to the flat kernel.
-    fn attend_paged(
+    /// Attention over a [`PagedKv`] page table: both passes walk the table
+    /// page segment by page segment, the score pass over each page's
+    /// transposed key rows, the value pass over its position-major values.
+    fn attend(
         &self,
         cache: &PagedKv,
         q: &[f32],
@@ -413,9 +270,9 @@ impl Attention {
             let kv_head = h / group;
             let score_row = &mut scores[h * seq_len..(h + 1) * seq_len];
             score_row.fill(0.0);
-            // same quad-component axpy as the flat kernel, page segment by
-            // page segment: each score still adds q0·k0 … q3·k3 in
-            // ascending-`d` order between one accumulator load and store
+            // four components in flight, page segment by page segment: each
+            // score adds q0·k0 … q3·k3 in ascending-`d` order between one
+            // accumulator load and store
             let mut i = 0usize;
             while i + 4 <= self.head_dim {
                 let d = kv_head * self.head_dim + i;
@@ -470,75 +327,137 @@ impl Attention {
                 &mut weights[h * seq_len..(h + 1) * seq_len],
             )?;
         }
-        // the value pass resolves positions through the page table but
-        // keeps the flat kernel's exact 8/4/1 position blocking over
-        // *global* positions, so each output component's accumulator sees
-        // the identical grouping of adds between loads and stores
-        let val = |t: usize| pool.value(pages[t / ps], t % ps);
+        // the value pass walks each page's position-major value rows: eight
+        // (then four, then one) positions in flight, each output component
+        // keeping its own accumulator and adding position contributions in
+        // ascending order (storing and reloading an accumulator between
+        // blocks or pages is exact, so the grouping never changes a bit)
+        let dim = pool.dim();
         for h in 0..self.n_heads {
             let kv_head = h / group;
             let w_row = &weights[h * seq_len..(h + 1) * seq_len];
             let head_out = &mut attended[h * self.head_dim..(h + 1) * self.head_dim];
             head_out.fill(0.0);
             let lo = kv_head * self.head_dim;
-            let hi = (kv_head + 1) * self.head_dim;
-            let mut t = 0usize;
-            while t + 8 <= seq_len {
-                let v0 = &val(t)[lo..hi];
-                let v1 = &val(t + 1)[lo..hi];
-                let v2 = &val(t + 2)[lo..hi];
-                let v3 = &val(t + 3)[lo..hi];
-                let v4 = &val(t + 4)[lo..hi];
-                let v5 = &val(t + 5)[lo..hi];
-                let v6 = &val(t + 6)[lo..hi];
-                let v7 = &val(t + 7)[lo..hi];
-                let w = &w_row[t..t + 8];
-                for (i, o) in head_out.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    acc += w[0] * v0[i];
-                    acc += w[1] * v1[i];
-                    acc += w[2] * v2[i];
-                    acc += w[3] * v3[i];
-                    acc += w[4] * v4[i];
-                    acc += w[5] * v5[i];
-                    acc += w[6] * v6[i];
-                    acc += w[7] * v7[i];
-                    *o = acc;
+            let hi = lo + self.head_dim;
+            let mut t0 = 0usize;
+            for &page in pages {
+                if t0 >= seq_len {
+                    break;
                 }
-                t += 8;
-            }
-            while t + 4 <= seq_len {
-                let v0 = &val(t)[lo..hi];
-                let v1 = &val(t + 1)[lo..hi];
-                let v2 = &val(t + 2)[lo..hi];
-                let v3 = &val(t + 3)[lo..hi];
-                let (w0, w1, w2, w3) = (w_row[t], w_row[t + 1], w_row[t + 2], w_row[t + 3]);
-                for (i, o) in head_out.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    acc += w0 * v0[i];
-                    acc += w1 * v1[i];
-                    acc += w2 * v2[i];
-                    acc += w3 * v3[i];
-                    *o = acc;
+                let seg = (seq_len - t0).min(ps);
+                let rows = pool.value_rows(page, seg);
+                let val = |t: usize| &rows[t * dim + lo..t * dim + hi];
+                let w_seg = &w_row[t0..t0 + seg];
+                let mut t = 0usize;
+                while t + 8 <= seg {
+                    let (v0, v1, v2, v3) = (val(t), val(t + 1), val(t + 2), val(t + 3));
+                    let (v4, v5, v6, v7) = (val(t + 4), val(t + 5), val(t + 6), val(t + 7));
+                    let w = &w_seg[t..t + 8];
+                    for (i, o) in head_out.iter_mut().enumerate() {
+                        let mut acc = *o;
+                        acc += w[0] * v0[i];
+                        acc += w[1] * v1[i];
+                        acc += w[2] * v2[i];
+                        acc += w[3] * v3[i];
+                        acc += w[4] * v4[i];
+                        acc += w[5] * v5[i];
+                        acc += w[6] * v6[i];
+                        acc += w[7] * v7[i];
+                        *o = acc;
+                    }
+                    t += 8;
                 }
-                t += 4;
-            }
-            while t < seq_len {
-                let v = &val(t)[lo..hi];
-                let w = w_row[t];
-                for (o, &vv) in head_out.iter_mut().zip(v.iter()) {
-                    *o += w * vv;
+                while t + 4 <= seg {
+                    let (v0, v1, v2, v3) = (val(t), val(t + 1), val(t + 2), val(t + 3));
+                    let w = &w_seg[t..t + 4];
+                    for (i, o) in head_out.iter_mut().enumerate() {
+                        let mut acc = *o;
+                        acc += w[0] * v0[i];
+                        acc += w[1] * v1[i];
+                        acc += w[2] * v2[i];
+                        acc += w[3] * v3[i];
+                        *o = acc;
+                    }
+                    t += 4;
                 }
-                t += 1;
+                while t < seg {
+                    let w = w_seg[t];
+                    for (o, &vv) in head_out.iter_mut().zip(val(t).iter()) {
+                        *o += w * vv;
+                    }
+                    t += 1;
+                }
+                t0 += seg;
             }
         }
         Ok(())
     }
 }
 
+/// Test-only bitwise oracle: keys and values kept as plain per-position
+/// vectors and attended in naive position order (each score sums its
+/// `q_d · k_d` with `d` ascending, each output component sums its position
+/// contributions with positions ascending).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Per-position keys (after RoPE) and values of one layer.
+    #[derive(Debug, Default, Clone)]
+    pub(crate) struct NaiveKv {
+        keys: Vec<Vec<f32>>,
+        values: Vec<Vec<f32>>,
+    }
+
+    /// [`Attention::forward_token`] with naive loops over [`NaiveKv`].
+    pub(crate) fn forward_token(
+        attn: &Attention,
+        x: &[f32],
+        pos: usize,
+        kv: &mut NaiveKv,
+    ) -> Vec<f32> {
+        let hd = attn.head_dim;
+        let mut q = attn.w_q.matvec(x).unwrap();
+        let mut k = attn.w_k.matvec(x).unwrap();
+        rope::apply_rope_multihead(&mut q, hd, pos, attn.rope_theta);
+        rope::apply_rope_multihead(&mut k, hd, pos, attn.rope_theta);
+        kv.keys.push(k);
+        kv.values.push(attn.w_v.matvec(x).unwrap());
+        let group = attn.n_heads / attn.n_kv_heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut attended = vec![0.0f32; attn.q_dim()];
+        for h in 0..attn.n_heads {
+            let lo = (h / group) * hd;
+            let scores: Vec<f32> = kv
+                .keys
+                .iter()
+                .map(|key| {
+                    let mut s = 0.0f32;
+                    for d in 0..hd {
+                        s += q[h * hd + d] * key[lo + d];
+                    }
+                    s * scale
+                })
+                .collect();
+            let weights = Vector::softmax(&scores).unwrap();
+            for i in 0..hd {
+                let mut acc = 0.0f32;
+                for (w, value) in weights.iter().zip(&kv.values) {
+                    acc += w * value[lo + i];
+                }
+                attended[h * hd + i] = acc;
+            }
+        }
+        attn.w_o.matvec(&attended).unwrap()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, NaiveKv};
     use super::*;
+    use crate::kv_paged::KvPagePool;
     use tensor::init;
 
     fn small_attention(n_heads: usize, n_kv_heads: usize) -> Attention {
@@ -556,10 +475,16 @@ mod tests {
         )
     }
 
+    /// A cache over a private pool of one `capacity`-long page (the layout
+    /// of a standalone decode state).
+    fn one_page_cache(capacity: usize) -> PagedKv {
+        PagedKv::new(&KvPagePool::new_handle(1, capacity), capacity)
+    }
+
     #[test]
     fn forward_token_produces_d_model_output() {
         let attn = small_attention(4, 2);
-        let mut cache = KvBacking::Flat(KvCache::new(8));
+        let mut cache = one_page_cache(8);
         let x = vec![0.1; 16];
         let y = attn.forward_token(&x, 0, &mut cache).unwrap();
         assert_eq!(y.len(), 16);
@@ -572,7 +497,7 @@ mod tests {
         // With only one cached position the softmax weight is 1, so the output
         // equals W_o applied to the (grouped) value projection.
         let attn = small_attention(4, 4);
-        let mut cache = KvBacking::Flat(KvCache::new(4));
+        let mut cache = one_page_cache(4);
         let x: Vec<f32> = (0..16).map(|i| (i as f32) / 16.0).collect();
         let y = attn.forward_token(&x, 0, &mut cache).unwrap();
         let v = attn.w_v.matvec(&x).unwrap();
@@ -588,11 +513,11 @@ mod tests {
         let x0 = vec![0.2; 16];
         let x1 = vec![-0.1; 16];
 
-        let mut cache_a = KvBacking::Flat(KvCache::new(8));
+        let mut cache_a = one_page_cache(8);
         attn.forward_token(&x0, 0, &mut cache_a).unwrap();
         let with_history = attn.forward_token(&x1, 1, &mut cache_a).unwrap();
 
-        let mut cache_b = KvBacking::Flat(KvCache::new(8));
+        let mut cache_b = one_page_cache(8);
         let without_history = attn.forward_token(&x1, 0, &mut cache_b).unwrap();
 
         let diff: f32 = with_history
@@ -603,92 +528,92 @@ mod tests {
         assert!(diff > 1e-4, "attention output should depend on KV history");
     }
 
-    /// Drives `tokens` inputs through `attn` on the given backing and
-    /// returns every output, for bitwise comparison between backings.
-    fn run_sequence(attn: &Attention, cache: &mut KvBacking, n: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|pos| {
-                let x: Vec<f32> = (0..16)
-                    .map(|i| ((pos * 17 + i * 3) % 13) as f32 / 13.0 - 0.4)
-                    .collect();
-                attn.forward_token(&x, pos, cache).unwrap()
-            })
+    fn input(pos: usize) -> Vec<f32> {
+        (0..16)
+            .map(|i| ((pos * 17 + i * 3) % 13) as f32 / 13.0 - 0.4)
             .collect()
     }
 
-    fn assert_bitwise_eq(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
-        assert_eq!(a.len(), b.len());
-        for (t, (ya, yb)) in a.iter().zip(b.iter()).enumerate() {
-            for (i, (va, vb)) in ya.iter().zip(yb.iter()).enumerate() {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: token {t} output {i}");
+    /// Checks positions `from..to` of `cache` against the naive oracle
+    /// continuing from `naive`, bitwise.
+    fn assert_matches_oracle(
+        attn: &Attention,
+        cache: &mut PagedKv,
+        naive: &mut NaiveKv,
+        from: usize,
+        to: usize,
+        what: &str,
+    ) {
+        for pos in from..to {
+            let x = input(pos);
+            let want = oracle::forward_token(attn, &x, pos, naive);
+            let got = attn.forward_token(&x, pos, cache).unwrap();
+            for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: token {pos} output {i}");
             }
         }
     }
 
     #[test]
-    fn paged_attention_is_bitwise_identical_to_flat() {
-        // page_size 3 forces partial segments inside the quad score pass;
-        // 21 tokens exercise the 8-, 4- and 1-wide value unrolls across
-        // page boundaries
-        let attn = small_attention(4, 2);
-        let pool = crate::kv_paged::KvPagePool::new_handle(16, 3);
-        let mut flat = KvBacking::Flat(KvCache::new(32));
-        let mut paged = KvBacking::Paged(PagedKv::new(&pool, 32));
-        let ys_flat = run_sequence(&attn, &mut flat, 21);
-        let ys_paged = run_sequence(&attn, &mut paged, 21);
-        assert_bitwise_eq(&ys_flat, &ys_paged, "paged vs flat");
+    fn attention_is_bitwise_identical_to_the_naive_oracle() {
+        // one page spanning the context (a standalone state), and 3-slot
+        // pages that force partial segments inside the quad score pass; 21
+        // tokens exercise the 8-, 4- and 1-wide value unrolls across page
+        // boundaries
+        for (attn, what) in [
+            (small_attention(4, 2), "gqa"),
+            (small_attention(4, 4), "mha"),
+        ] {
+            let mut naive = NaiveKv::default();
+            assert_matches_oracle(&attn, &mut one_page_cache(32), &mut naive, 0, 21, what);
+            let pool = KvPagePool::new_handle(16, 3);
+            let mut naive = NaiveKv::default();
+            let mut paged = PagedKv::new(&pool, 32);
+            assert_matches_oracle(&attn, &mut paged, &mut naive, 0, 21, what);
+        }
     }
 
     #[test]
-    fn cow_forked_session_matches_flat_continuation() {
+    fn cow_forked_session_matches_the_oracle() {
         let attn = small_attention(4, 2);
-        let pool = crate::kv_paged::KvPagePool::new_handle(32, 4);
-        let mut flat = KvBacking::Flat(KvCache::new(32));
-        let mut paged = KvBacking::Paged(PagedKv::new(&pool, 32));
-        let pre_flat = run_sequence(&attn, &mut flat, 6);
-        let pre_paged = run_sequence(&attn, &mut paged, 6);
-        assert_bitwise_eq(&pre_flat, &pre_paged, "shared prefix");
+        let pool = KvPagePool::new_handle(32, 4);
+        let mut paged = PagedKv::new(&pool, 32);
+        let mut naive = NaiveKv::default();
+        assert_matches_oracle(&attn, &mut paged, &mut naive, 0, 6, "shared prefix");
 
         // fork the paged session mid-page; both the original and the clone
-        // must keep matching the flat oracle exactly
+        // must keep matching the oracle exactly
         let mut forked = paged.clone();
-        for pos in 6..14 {
-            let x: Vec<f32> = (0..16)
-                .map(|i| ((pos * 17 + i * 3) % 13) as f32 / 13.0 - 0.4)
-                .collect();
-            let ya = attn.forward_token(&x, pos, &mut flat).unwrap();
-            let yb = attn.forward_token(&x, pos, &mut paged).unwrap();
-            let yc = attn.forward_token(&x, pos, &mut forked).unwrap();
-            assert_bitwise_eq(
-                std::slice::from_ref(&ya),
-                &[yb],
-                "original paged session after the fork",
-            );
-            assert_bitwise_eq(&[ya], &[yc], "forked paged session");
-        }
+        let mut naive_forked = naive.clone();
+        assert_matches_oracle(
+            &attn,
+            &mut paged,
+            &mut naive,
+            6,
+            14,
+            "original after the fork",
+        );
+        assert_matches_oracle(
+            &attn,
+            &mut forked,
+            &mut naive_forked,
+            6,
+            14,
+            "forked session",
+        );
+        assert!(pool.borrow().fork_count() > 0);
     }
 
     #[test]
-    fn spilled_and_reloaded_session_matches_flat() {
+    fn spilled_and_reloaded_session_matches_the_oracle() {
         let attn = small_attention(4, 2);
-        let pool = crate::kv_paged::KvPagePool::new_handle(16, 4);
-        let mut flat = KvBacking::Flat(KvCache::new(32));
-        let mut paged = KvBacking::Paged(PagedKv::new(&pool, 32));
-        let a = run_sequence(&attn, &mut flat, 7);
-        let b = run_sequence(&attn, &mut paged, 7);
-        assert_bitwise_eq(&a, &b, "before the spill");
-
-        let p = paged.paged_mut().unwrap();
-        p.spill();
-        p.reload().unwrap();
-        for pos in 7..12 {
-            let x: Vec<f32> = (0..16)
-                .map(|i| ((pos * 17 + i * 3) % 13) as f32 / 13.0 - 0.4)
-                .collect();
-            let ya = attn.forward_token(&x, pos, &mut flat).unwrap();
-            let yb = attn.forward_token(&x, pos, &mut paged).unwrap();
-            assert_bitwise_eq(&[ya], &[yb], "after spill/reload");
-        }
+        let pool = KvPagePool::new_handle(16, 4);
+        let mut paged = PagedKv::new(&pool, 32);
+        let mut naive = NaiveKv::default();
+        assert_matches_oracle(&attn, &mut paged, &mut naive, 0, 7, "before the spill");
+        paged.spill();
+        paged.reload().unwrap();
+        assert_matches_oracle(&attn, &mut paged, &mut naive, 7, 12, "after spill/reload");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Paged KV memory: a fixed-size-page block allocator with refcounted
 //! copy-on-write pages and per-session page tables.
 //!
-//! The flat [`KvCache`] pre-reserves `max_seq_len × dim` floats per layer
-//! per session, so fleet size is capped by worst-case memory even when most
-//! sessions are short. This module replaces that backing store with a
-//! **page pool**: KV storage is carved into fixed-size pages of
-//! [`KvPagePool::page_size`] positions, sessions own *page tables*
-//! ([`PagedKv`]) mapping position ranges to pages, and pages are
-//! **refcounted** so multiple sessions can map the same physical page — the
-//! mechanism behind shared-prefix caching.
+//! KV storage is carved into fixed-size pages of [`KvPagePool::page_size`]
+//! positions, sessions own *page tables* ([`PagedKv`]) mapping position
+//! ranges to pages, and pages are **refcounted** so multiple sessions can
+//! map the same physical page — the mechanism behind shared-prefix
+//! caching. A serving engine shares one pool across its sessions, so fleet
+//! size is capped by the pages sessions actually use rather than by
+//! worst-case context; a standalone decode state
+//! ([`crate::TransformerModel::new_decode_state`]) owns a pool of one
+//! `max_seq_len`-long page per layer.
 //!
 //! Sharing is copy-on-write: appending into a page whose refcount is
 //! greater than one first *forks* it (copies the live slots into a fresh
@@ -17,14 +18,13 @@
 //!
 //! # Layout and determinism
 //!
-//! Each page stores its positions in the same two layouts the flat cache
-//! uses: position-major `[slot][component]` rows for keys and values, plus
-//! a per-page **transposed key store** `[component][slot]` so the attention
-//! score kernel can keep reducing over contiguous position runs (the PR 5
-//! layout, preserved per page). A paged attention kernel walks positions
-//! page segment by page segment but performs the *identical per-output
-//! sequence of multiply-adds* as the flat kernel, so its outputs are
-//! bitwise equal to the flat oracle (see `Attention::attend_row`).
+//! Each page stores its positions position-major (`[slot][component]`
+//! rows for keys and values), plus a per-page **transposed key store**
+//! `[component][slot]` so the attention score kernel can reduce over
+//! contiguous position runs. The attention kernel walks positions page
+//! segment by page segment, but every output receives the *identical
+//! sequence of multiply-adds* whatever the page size, so outputs are
+//! bitwise independent of the paging (see `Attention::attend_row`).
 //!
 //! Allocation order is deterministic: the free list is LIFO and seeded in
 //! descending page order, so a deterministic sequence of alloc/free calls
@@ -32,7 +32,6 @@
 //! bitwise reproducible across runs and OS thread counts.
 
 use crate::error::{LmError, Result};
-use crate::kv_cache::KvCache;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -305,6 +304,15 @@ impl KvPagePool {
     pub fn value(&self, page: PageId, slot: usize) -> &[f32] {
         let base = (page as usize * self.page_size + slot) * self.dim;
         &self.values[base..base + self.dim]
+    }
+
+    /// Value vectors of the first `slots` slots of `page`, position-major
+    /// (`slots × dim` floats in one contiguous run) — the layout the
+    /// attention value pass walks.
+    #[inline]
+    pub fn value_rows(&self, page: PageId, slots: usize) -> &[f32] {
+        let base = page as usize * self.page_size * self.dim;
+        &self.values[base..base + slots * self.dim]
     }
 
     /// Component `d` of every slot of `page` as one contiguous
@@ -668,132 +676,6 @@ impl Drop for PagedKv {
     }
 }
 
-/// The KV backing store of one layer of one [`crate::DecodeState`]: either
-/// the flat pre-reserved [`KvCache`] (the bitwise oracle, and the default)
-/// or a [`PagedKv`] page table over a shared pool.
-///
-/// Call sites that only need lengths/capacities/appends go through the
-/// delegating methods; the attention kernel matches on the variant and runs
-/// the layout-specific (bitwise-identical) inner loops.
-#[derive(Debug, Clone)]
-pub enum KvBacking {
-    /// Flat contiguous per-session storage ([`KvCache`]).
-    Flat(KvCache),
-    /// Paged storage over a shared [`KvPagePool`].
-    Paged(PagedKv),
-}
-
-impl KvBacking {
-    /// Number of positions currently stored.
-    pub fn len(&self) -> usize {
-        match self {
-            KvBacking::Flat(c) => c.len(),
-            KvBacking::Paged(p) => p.len(),
-        }
-    }
-
-    /// Whether the backing holds no positions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of positions the backing accepts.
-    pub fn capacity(&self) -> usize {
-        match self {
-            KvBacking::Flat(c) => c.capacity(),
-            KvBacking::Paged(p) => p.capacity(),
-        }
-    }
-
-    /// Appends the key/value vectors of a new position.
-    ///
-    /// # Errors
-    ///
-    /// See [`KvCache::push_slices`] and [`PagedKv::push_slices`].
-    pub fn push(&mut self, key: Vec<f32>, value: Vec<f32>) -> Result<()> {
-        self.push_slices(&key, &value)
-    }
-
-    /// Appends the key/value vectors of a new position from borrowed
-    /// slices (the allocation-free decode path).
-    ///
-    /// # Errors
-    ///
-    /// See [`KvCache::push_slices`] and [`PagedKv::push_slices`].
-    pub fn push_slices(&mut self, key: &[f32], value: &[f32]) -> Result<()> {
-        match self {
-            KvBacking::Flat(c) => c.push_slices(key, value),
-            KvBacking::Paged(p) => p.push_slices(key, value),
-        }
-    }
-
-    /// Key vector stored at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a paged backing, whose storage lives behind the pool —
-    /// use [`PagedKv::key_at`] (or read pages through the pool) instead.
-    pub fn key(&self, i: usize) -> Option<&[f32]> {
-        match self {
-            KvBacking::Flat(c) => c.key(i),
-            KvBacking::Paged(_) => panic!("borrow paged keys via PagedKv::key_at"),
-        }
-    }
-
-    /// Value vector stored at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a paged backing — use [`PagedKv::value_at`] instead.
-    pub fn value(&self, i: usize) -> Option<&[f32]> {
-        match self {
-            KvBacking::Flat(c) => c.value(i),
-            KvBacking::Paged(_) => panic!("borrow paged values via PagedKv::value_at"),
-        }
-    }
-
-    /// Removes all stored positions (releasing pages for a paged backing),
-    /// keeping reserved storage so recycled states never reallocate.
-    pub fn clear(&mut self) {
-        match self {
-            KvBacking::Flat(c) => c.clear(),
-            KvBacking::Paged(p) => p.clear(),
-        }
-    }
-
-    /// Drops every position at index `len` or later.
-    pub fn truncate(&mut self, len: usize) {
-        match self {
-            KvBacking::Flat(c) => c.truncate(len),
-            KvBacking::Paged(p) => p.truncate(len),
-        }
-    }
-
-    /// The flat cache, when this backing is flat.
-    pub fn flat(&self) -> Option<&KvCache> {
-        match self {
-            KvBacking::Flat(c) => Some(c),
-            KvBacking::Paged(_) => None,
-        }
-    }
-
-    /// The paged cache, when this backing is paged.
-    pub fn paged(&self) -> Option<&PagedKv> {
-        match self {
-            KvBacking::Flat(_) => None,
-            KvBacking::Paged(p) => Some(p),
-        }
-    }
-
-    /// Mutable access to the paged cache, when this backing is paged.
-    pub fn paged_mut(&mut self) -> Option<&mut PagedKv> {
-        match self {
-            KvBacking::Flat(_) => None,
-            KvBacking::Paged(p) => Some(p),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,6 +733,24 @@ mod tests {
                 assert_eq!(p.keys_t_row(page, d)[slot].to_bits(), k.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn rejects_overflow_and_width_mismatch() {
+        let pool = pool(4, 2);
+        let mut kv = PagedKv::new(&pool, 1);
+        kv.push_slices(&[1.0], &[1.0]).unwrap();
+        assert!(
+            kv.push_slices(&[2.0], &[2.0]).is_err(),
+            "capacity 1 is full"
+        );
+        let mut kv = PagedKv::new(&pool, 4);
+        assert!(kv.push_slices(&[1.0], &[1.0, 2.0]).is_err());
+        assert!(
+            kv.push_slices(&[1.0, 2.0], &[1.0, 2.0]).is_err(),
+            "pool width is 1"
+        );
+        assert!(kv.is_empty());
     }
 
     #[test]
@@ -975,22 +875,6 @@ mod tests {
         drop(kv2);
         assert_eq!(pool.borrow().pages_in_use(), 0, "drop releases pages");
         assert_eq!(pool.borrow().high_water(), 3);
-    }
-
-    #[test]
-    fn backing_delegates_both_variants() {
-        let pool = pool(4, 2);
-        let mut flat = KvBacking::Flat(KvCache::new(4));
-        let mut paged = KvBacking::Paged(PagedKv::new(&pool, 4));
-        for kv in [&mut flat, &mut paged] {
-            kv.push_slices(&[1.0, 2.0], &[3.0, 4.0]).unwrap();
-            assert_eq!(kv.len(), 1);
-            assert_eq!(kv.capacity(), 4);
-            kv.clear();
-            assert!(kv.is_empty());
-        }
-        assert_eq!(flat.flat().unwrap().capacity(), 4);
-        assert!(paged.paged().is_some());
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod config;
 pub mod data;
 pub mod error;
 pub mod eval;
-pub mod kv_cache;
 pub mod kv_paged;
 pub mod mlp;
 pub mod model;
@@ -45,15 +44,12 @@ pub use builder::build_synthetic;
 pub use config::ModelConfig;
 pub use error::{LmError, Result};
 pub use eval::{EvalResult, Task, TaskSuite};
-pub use kv_cache::{DecodeStatePool, KvCache};
-pub use kv_paged::{
-    pages_spanning, KvBacking, KvPagePool, PageId, PagePoolHandle, PagePoolStats, PagedKv,
-};
+pub use kv_paged::{pages_spanning, KvPagePool, PageId, PagePoolHandle, PagePoolStats, PagedKv};
 pub use mlp::{
     ColumnAccess, DenseMlp, GluMlp, MatrixAccess, MlpAccessRecord, MlpForward, MlpForwardOutput,
     MlpMatrix, SliceAxis,
 };
-pub use model::{BatchStrategies, DecodeState, TokenOutput, TransformerModel};
+pub use model::{BatchStrategies, DecodeState, DecodeStatePool, TokenOutput, TransformerModel};
 pub use scratch::{
     AccessBuf, AttnMirrors, AttnScratch, BatchScratch, DecodeScratch, LayerMirrors,
     MlpAccessScratch, MlpBatchWorkspace, MlpMirrors, MlpWorkspace, ModelMirrors,

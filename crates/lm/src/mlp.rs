@@ -22,7 +22,7 @@ use crate::error::Result;
 use crate::scratch::{MlpAccessScratch, MlpBatchWorkspace, MlpWorkspace};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tensor::{Activation, Matrix, QuantMatvec, WeightMirror};
+use tensor::{Activation, Matrix, PackedMatrix, QuantMatvec};
 
 /// Identifies one of the three weight matrices of a GLU MLP block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -240,8 +240,8 @@ pub trait MlpForward {
     /// Allocation-free forward pass: leaves the block output in
     /// [`MlpWorkspace::y`] and the access report in `access`, reusing every
     /// buffer across tokens. `mirrors`, when present, are this layer's
-    /// pre-transposed weight mirrors (see [`crate::scratch::ModelMirrors`])
-    /// for the SIMD-friendly mirrored kernels.
+    /// packed weight panels (see [`crate::scratch::ModelMirrors`]) for the
+    /// register-blocked packed kernels.
     ///
     /// The default falls back to [`MlpForward::forward`] and copies; the
     /// strategies on the decode hot path override it with zero-allocation
@@ -389,9 +389,9 @@ impl MlpForward for DenseMlp {
 /// `quant` crate (see `quant::model_ops::quantize_mlp_fused`).
 ///
 /// When present, every kernel helper of [`GluMlp`] routes through the fused
-/// dequant-matvec implementations **first** — before the mirrored/packed
-/// f32 paths — so each sparsity strategy's column selections ride the fused
-/// panels with zero strategy changes. The attach step also replaces
+/// dequant-matvec implementations **first** — before the packed and
+/// row-major f32 paths — so each sparsity strategy's column selections ride
+/// the fused panels with zero strategy changes. The attach step also replaces
 /// `w_up`/`w_gate`/`w_down` with the dequantized reconstruction, so paths
 /// that don't consult `quant` (reference mode, allocating helpers, hwsim
 /// accounting) compute bitwise-identical results.
@@ -577,7 +577,7 @@ impl GluMlp {
     // 1. fused dequant-matvec when packed-quantized weights are attached
     //    ([`GluMlp::quant`]) — the f32 matrices then hold the dequantized
     //    reconstruction, so every route still computes the same bits;
-    // 2. the packed register-blocked microkernels when a [`WeightMirror`]
+    // 2. the packed register-blocked microkernels when a [`PackedMatrix`]
     //    is supplied (`Matrix::matvec_packed` family, arch-dispatched);
     // 3. the row-major kernels otherwise.
     //
@@ -593,11 +593,11 @@ impl GluMlp {
         &self,
         x: &[f32],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => q.gate.matvec_into(x, out)?,
-            (None, Some(m)) => self.w_gate.matvec_packed(&m.packed, x, out)?,
+            (None, Some(m)) => self.w_gate.matvec_packed(m, x, out)?,
             (None, None) => self.w_gate.matvec_into(x, out)?,
         }
         if let Some(bias) = &self.gate_bias {
@@ -618,7 +618,7 @@ impl GluMlp {
         &self,
         x: &[f32],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         self.gate_preactivations_into(x, out, mirror)?;
         self.activation.apply(out);
@@ -635,11 +635,11 @@ impl GluMlp {
         &self,
         x: &[f32],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => Ok(q.up.matvec_into(x, out)?),
-            (None, Some(m)) => Ok(self.w_up.matvec_packed(&m.packed, x, out)?),
+            (None, Some(m)) => Ok(self.w_up.matvec_packed(m, x, out)?),
             (None, None) => Ok(self.w_up.matvec_into(x, out)?),
         }
     }
@@ -655,13 +655,11 @@ impl GluMlp {
         x: &[f32],
         active_inputs: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => q.gate.matvec_cols_into(x, active_inputs, out)?,
-            (None, Some(m)) => self
-                .w_gate
-                .matvec_cols_packed(&m.packed, x, active_inputs, out)?,
+            (None, Some(m)) => self.w_gate.matvec_cols_packed(m, x, active_inputs, out)?,
             (None, None) => self.w_gate.matvec_cols_into(x, active_inputs, out)?,
         }
         if let Some(bias) = &self.gate_bias {
@@ -684,15 +682,11 @@ impl GluMlp {
         x: &[f32],
         active_inputs: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => Ok(q.up.matvec_cols_into(x, active_inputs, out)?),
-            (None, Some(m)) => {
-                Ok(self
-                    .w_up
-                    .matvec_cols_packed(&m.packed, x, active_inputs, out)?)
-            }
+            (None, Some(m)) => Ok(self.w_up.matvec_cols_packed(m, x, active_inputs, out)?),
             (None, None) => Ok(self.w_up.matvec_cols_into(x, active_inputs, out)?),
         }
     }
@@ -708,13 +702,11 @@ impl GluMlp {
         glu: &[f32],
         active: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => Ok(q.down.matvec_cols_into(glu, active, out)?),
-            (None, Some(m)) => Ok(self
-                .w_down
-                .matvec_cols_packed(&m.packed, glu, active, out)?),
+            (None, Some(m)) => Ok(self.w_down.matvec_cols_packed(m, glu, active, out)?),
             (None, None) => Ok(self.w_down.matvec_cols_into(glu, active, out)?),
         }
     }
@@ -748,11 +740,11 @@ impl GluMlp {
         xs: &[f32],
         rows: usize,
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => Ok(q.up.matvec_batch_into(xs, rows, out)?),
-            (None, Some(m)) => Ok(self.w_up.matvec_batch_packed(&m.packed, xs, rows, out)?),
+            (None, Some(m)) => Ok(self.w_up.matvec_batch_packed(m, xs, rows, out)?),
             (None, None) => Ok(self.w_up.matvec_batch_into(xs, rows, out)?),
         }
     }
@@ -767,11 +759,11 @@ impl GluMlp {
         xs: &[f32],
         rows: usize,
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         match (&self.quant, mirror) {
             (Some(q), _) => q.gate.matvec_batch_into(xs, rows, out)?,
-            (None, Some(m)) => self.w_gate.matvec_batch_packed(&m.packed, xs, rows, out)?,
+            (None, Some(m)) => self.w_gate.matvec_batch_packed(m, xs, rows, out)?,
             (None, None) => self.w_gate.matvec_batch_into(xs, rows, out)?,
         }
         self.add_gate_bias_rows(out, rows);
@@ -790,7 +782,7 @@ impl GluMlp {
     fn cols_batch(
         matrix: &Matrix,
         quant: Option<&dyn QuantMatvec>,
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
         xs: &[f32],
         rows: usize,
         indices: &[usize],
@@ -800,7 +792,7 @@ impl GluMlp {
         match (quant, mirror) {
             (Some(q), _) => Ok(q.matvec_cols_batch_into(xs, rows, indices, offsets, out)?),
             (None, Some(m)) => {
-                Ok(matrix.matvec_cols_batch_packed(&m.packed, xs, rows, indices, offsets, out)?)
+                Ok(matrix.matvec_cols_batch_packed(m, xs, rows, indices, offsets, out)?)
             }
             (None, None) => Ok(matrix.matvec_cols_batch_into(xs, rows, indices, offsets, out)?),
         }
@@ -820,7 +812,7 @@ impl GluMlp {
         indices: &[usize],
         offsets: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         let quant = self.quant.as_ref().map(|q| q.up.as_ref());
         Self::cols_batch(&self.w_up, quant, mirror, xs, rows, indices, offsets, out)
@@ -840,7 +832,7 @@ impl GluMlp {
         indices: &[usize],
         offsets: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         let quant = self.quant.as_ref().map(|q| q.gate.as_ref());
         Self::cols_batch(&self.w_gate, quant, mirror, xs, rows, indices, offsets, out)?;
@@ -863,7 +855,7 @@ impl GluMlp {
         indices: &[usize],
         offsets: &[usize],
         out: &mut [f32],
-        mirror: Option<&WeightMirror>,
+        mirror: Option<&PackedMatrix>,
     ) -> Result<()> {
         let quant = self.quant.as_ref().map(|q| q.down.as_ref());
         Self::cols_batch(
@@ -904,12 +896,11 @@ impl GluMlp {
         }
         match (&self.quant, mirrors) {
             (Some(q), _) => Ok(q.down.matvec_batch_into(&ws.glu[..n], rows, &mut ws.y)?),
-            (None, Some(m)) => Ok(self.w_down.matvec_batch_packed(
-                &m.down.packed,
-                &ws.glu[..n],
-                rows,
-                &mut ws.y,
-            )?),
+            (None, Some(m)) => {
+                Ok(self
+                    .w_down
+                    .matvec_batch_packed(&m.down, &ws.glu[..n], rows, &mut ws.y)?)
+            }
             (None, None) => Ok(self
                 .w_down
                 .matvec_batch_into(&ws.glu[..n], rows, &mut ws.y)?),
@@ -936,9 +927,7 @@ impl GluMlp {
         }
         match (&self.quant, mirrors) {
             (Some(q), _) => Ok(q.down.matvec_into(&ws.glu, &mut ws.y)?),
-            (None, Some(m)) => Ok(self
-                .w_down
-                .matvec_packed(&m.down.packed, &ws.glu, &mut ws.y)?),
+            (None, Some(m)) => Ok(self.w_down.matvec_packed(&m.down, &ws.glu, &mut ws.y)?),
             (None, None) => Ok(self.w_down.matvec_into(&ws.glu, &mut ws.y)?),
         }
     }

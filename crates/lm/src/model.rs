@@ -3,12 +3,12 @@
 use crate::attention::Attention;
 use crate::config::ModelConfig;
 use crate::error::{LmError, Result};
-use crate::kv_cache::KvCache;
-use crate::kv_paged::{KvBacking, PagePoolHandle, PagedKv};
+use crate::kv_paged::{KvPagePool, PagePoolHandle, PagedKv};
 use crate::mlp::{DenseMlp, GluMlp, MlpAccessRecord, MlpForward};
 use crate::norm::RmsNorm;
 use crate::scratch::{BatchScratch, DecodeScratch};
 use rand::Rng;
+use std::rc::Rc;
 use tensor::{Matrix, Vector, WorkerPool};
 
 /// How a batched forward pass drives the MLP strategies of its rows.
@@ -38,18 +38,28 @@ pub struct TransformerLayer {
     pub mlp: GluMlp,
 }
 
-/// Mutable decoding state: one KV cache per layer plus the current position.
-#[derive(Debug, Clone)]
+/// Mutable decoding state: one KV page table per layer plus the current
+/// position.
+///
+/// The page tables map either a pool of the state's own
+/// ([`TransformerModel::new_decode_state`]: one page per layer, each
+/// `max_seq_len` positions long, so attention never crosses a page
+/// boundary) or a pool shared by an engine's sessions
+/// ([`TransformerModel::new_decode_state_paged`]). Both decode bitwise
+/// identically. A state is deliberately not `Clone`: a clone would map the
+/// same pages copy-on-write, and a private pool has no spare page to fork
+/// into.
+#[derive(Debug)]
 pub struct DecodeState {
-    /// Per-layer key/value caches (flat, or paged over a shared pool).
-    pub kv: Vec<KvBacking>,
+    /// Per-layer KV page tables.
+    pub kv: Vec<PagedKv>,
     /// Next position index to be decoded.
     pub pos: usize,
 }
 
 impl DecodeState {
-    /// Clears the caches (releasing pool pages for paged backings) and
-    /// resets the position to zero.
+    /// Clears the caches (releasing their pool pages) and resets the
+    /// position to zero.
     pub fn reset(&mut self) {
         for c in &mut self.kv {
             c.clear();
@@ -57,35 +67,32 @@ impl DecodeState {
         self.pos = 0;
     }
 
-    /// Whether the state's KV lives in paged backings.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.kv.first(), Some(KvBacking::Paged(_)))
+    /// Whether no one but this state's layers holds its page pool (a state
+    /// from [`TransformerModel::new_decode_state`]): its pages serve no
+    /// other session, so spilling them would free nothing.
+    pub fn owns_pool(&self) -> bool {
+        self.kv
+            .first()
+            .is_some_and(|c| Rc::strong_count(c.pool_handle()) == self.kv.len())
     }
 
-    /// Spills every paged layer to its session-owned buffer, releasing all
-    /// pool pages (a no-op for flat states). A parked session then holds
-    /// zero pool memory until [`DecodeState::reload_kv`].
+    /// Spills every layer to its session-owned buffer, releasing all pool
+    /// pages. A parked session then holds zero pool memory until
+    /// [`DecodeState::reload_kv`].
     pub fn spill_kv(&mut self) {
         for c in &mut self.kv {
-            if let Some(p) = c.paged_mut() {
-                p.spill();
-            }
+            c.spill();
         }
     }
 
     /// Whether any layer is currently spilled.
     pub fn is_spilled(&self) -> bool {
-        self.kv
-            .iter()
-            .any(|c| c.paged().map(PagedKv::is_spilled).unwrap_or(false))
+        self.kv.iter().any(PagedKv::is_spilled)
     }
 
     /// Total pool pages a [`DecodeState::reload_kv`] would need right now.
     pub fn kv_pages_to_reload(&self) -> usize {
-        self.kv
-            .iter()
-            .filter_map(|c| c.paged().map(PagedKv::pages_to_reload))
-            .sum()
+        self.kv.iter().map(PagedKv::pages_to_reload).sum()
     }
 
     /// Reloads every spilled layer back into pool pages, bit-for-bit.
@@ -100,23 +107,179 @@ impl DecodeState {
         if !self.is_spilled() {
             return Ok(());
         }
-        if let Some(p) = self.kv.iter().find_map(|c| c.paged()) {
-            let pool = p.pool_handle().borrow();
-            if pool.free_pages() < needed {
-                return Err(LmError::BadSequence {
-                    reason: format!(
-                        "KV page pool has {} free pages but reloading needs {needed}",
-                        pool.free_pages()
-                    ),
-                });
-            }
+        let free = self.kv[0].pool_handle().borrow().free_pages();
+        if free < needed {
+            return Err(LmError::BadSequence {
+                reason: format!("KV page pool has {free} free pages but reloading needs {needed}"),
+            });
         }
         for c in &mut self.kv {
-            if let Some(p) = c.paged_mut() {
-                p.reload()?;
-            }
+            c.reload()?;
         }
         Ok(())
+    }
+}
+
+/// A pool of [`DecodeState`]s for session-scoped reuse.
+///
+/// A serving engine creates and retires one decode state per user session;
+/// building `n_layers` fresh page tables (and, for private-pool states, a
+/// fresh pool) for every arrival churns the allocator. The pool recycles
+/// released states whose shape (layer count and per-layer capacity) and
+/// page pool match the request: `acquire` returns a cleared recycled state
+/// when one fits and builds a fresh one otherwise.
+///
+/// Preemptive schedulers additionally **park** a live session's state
+/// ([`DecodeStatePool::park`]) when the session is descheduled at a token
+/// boundary: the state keeps its KV entries and position, and
+/// [`DecodeStatePool::resume`] hands back *exactly* the parked state, so a
+/// resumed session continues its generation without output divergence. A
+/// parked state that is never resumed can be reclaimed into the free list
+/// with [`DecodeStatePool::reclaim_parked`].
+///
+/// For states over a shared page pool the pool keeps page residency
+/// bounded by *active* sessions: parking spills the state's pages into its
+/// session-owned buffer (the caller reloads after
+/// [`DecodeStatePool::resume`], see [`DecodeState::reload_kv`]), and
+/// releasing clears its pages before it idles in the free list — so
+/// neither parked nor idle states hold shared pages. A state that owns its
+/// pool ([`DecodeState::owns_pool`]) is parked as it is and comes back from
+/// `resume` ready to decode.
+#[derive(Debug, Default)]
+pub struct DecodeStatePool {
+    free: Vec<DecodeState>,
+    parked: Vec<(u64, DecodeState)>,
+    reused: u64,
+    built: u64,
+    parks: u64,
+    resumes: u64,
+}
+
+impl DecodeStatePool {
+    /// Creates an empty pool.
+    pub fn new() -> Self {
+        DecodeStatePool::default()
+    }
+
+    /// Number of idle states currently pooled.
+    pub fn idle(&self) -> usize {
+        self.free.len()
+    }
+
+    /// How many acquisitions were served by recycling a released state.
+    pub fn reuse_count(&self) -> u64 {
+        self.reused
+    }
+
+    /// How many acquisitions had to build a fresh state.
+    pub fn build_count(&self) -> u64 {
+        self.built
+    }
+
+    fn fits(state: &DecodeState, model: &TransformerModel, pool: Option<&PagePoolHandle>) -> bool {
+        let Some(first) = state.kv.first() else {
+            return false;
+        };
+        let dim = first.pool_handle().borrow().dim();
+        state.kv.len() == model.n_layers()
+            && first.capacity() == model.config.max_seq_len
+            && (dim == 0 || dim == model.layers[0].attn.kv_dim())
+            && match pool {
+                Some(h) => Rc::ptr_eq(first.pool_handle(), h),
+                None => state.owns_pool(),
+            }
+    }
+
+    /// Returns a reset decode state for `model` over a pool of its own,
+    /// recycling a pooled one when its shape matches.
+    pub fn acquire(&mut self, model: &TransformerModel) -> DecodeState {
+        self.acquire_backed(model, None)
+    }
+
+    /// Returns a reset decode state for `model`: over a pool of its own
+    /// when `pool` is `None`, over the shared `pool` otherwise. A recycled
+    /// state must match the pool as well as the shape.
+    pub fn acquire_backed(
+        &mut self,
+        model: &TransformerModel,
+        pool: Option<&PagePoolHandle>,
+    ) -> DecodeState {
+        if let Some(pos) = self.free.iter().position(|s| Self::fits(s, model, pool)) {
+            let mut state = self.free.swap_remove(pos);
+            state.reset();
+            self.reused += 1;
+            state
+        } else {
+            self.built += 1;
+            match pool {
+                Some(h) => model.new_decode_state_paged(h),
+                None => model.new_decode_state(),
+            }
+        }
+    }
+
+    /// Returns a finished session's state to the pool for later reuse. Its
+    /// pages are released immediately — an idle pooled state must not hold
+    /// shared pool memory.
+    pub fn release(&mut self, mut state: DecodeState) {
+        state.reset();
+        self.free.push(state);
+    }
+
+    /// Parks a preempted session's state under `key` **without resetting
+    /// it**: KV entries and position survive until [`DecodeStatePool::resume`].
+    /// A state over a shared pool is spilled ([`DecodeState::spill_kv`]), so
+    /// a parked session holds zero shared pages; the caller reloads after
+    /// resuming.
+    ///
+    /// Parking a key that is already parked replaces the previous state
+    /// (the old one is reclaimed into the free list — a session has exactly
+    /// one live state).
+    pub fn park(&mut self, key: u64, mut state: DecodeState) {
+        if !state.owns_pool() {
+            state.spill_kv();
+        }
+        if let Some(pos) = self.parked.iter().position(|(k, _)| *k == key) {
+            let (_, old) = self.parked.swap_remove(pos);
+            self.free.push(old);
+        }
+        self.parked.push((key, state));
+        self.parks += 1;
+    }
+
+    /// Takes the state parked under `key` back out, contents intact, or
+    /// `None` when nothing is parked under that key.
+    pub fn resume(&mut self, key: u64) -> Option<DecodeState> {
+        let pos = self.parked.iter().position(|(k, _)| *k == key)?;
+        let (_, state) = self.parked.swap_remove(pos);
+        self.resumes += 1;
+        Some(state)
+    }
+
+    /// Number of states currently parked.
+    pub fn parked_count(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// How many park operations happened over the pool's lifetime.
+    pub fn park_count(&self) -> u64 {
+        self.parks
+    }
+
+    /// How many parked states were resumed over the pool's lifetime.
+    pub fn resume_count(&self) -> u64 {
+        self.resumes
+    }
+
+    /// Moves every parked state into the free list (states of sessions that
+    /// will never resume — e.g. an engine run that was abandoned). Returns
+    /// how many states were reclaimed.
+    pub fn reclaim_parked(&mut self) -> usize {
+        let n = self.parked.len();
+        for (_, state) in self.parked.drain(..) {
+            self.free.push(state);
+        }
+        n
     }
 }
 
@@ -212,24 +375,20 @@ impl TransformerModel {
         n + self.final_norm.dim()
     }
 
-    /// Creates a fresh decoding state sized for `max_seq_len`, backed by
-    /// flat per-session caches (the bitwise oracle backing).
+    /// Creates a fresh decoding state sized for `max_seq_len`, over a page
+    /// pool of its own: one page per layer, each `max_seq_len` positions
+    /// long (a single page keeps attention's position runs unbroken).
     pub fn new_decode_state(&self) -> DecodeState {
-        DecodeState {
-            kv: (0..self.config.n_layers)
-                .map(|_| KvBacking::Flat(KvCache::new(self.config.max_seq_len)))
-                .collect(),
-            pos: 0,
-        }
+        let pool = KvPagePool::new_handle(self.config.n_layers, self.config.max_seq_len);
+        self.new_decode_state_paged(&pool)
     }
 
     /// Creates a fresh decoding state whose layers are page tables over the
-    /// shared `pool` — bitwise identical in behaviour to the flat state,
-    /// but with memory allocated page by page on demand.
+    /// shared `pool`, with memory allocated page by page on demand.
     pub fn new_decode_state_paged(&self, pool: &PagePoolHandle) -> DecodeState {
         DecodeState {
             kv: (0..self.config.n_layers)
-                .map(|_| KvBacking::Paged(PagedKv::new(pool, self.config.max_seq_len)))
+                .map(|_| PagedKv::new(pool, self.config.max_seq_len))
                 .collect(),
             pos: 0,
         }
@@ -356,7 +515,7 @@ impl TransformerModel {
         // bitwise identical)
         match mirrors {
             Some(m) => self.lm_head.matvec_packed(
-                &m.lm_head.packed,
+                &m.lm_head,
                 &scratch.final_normed,
                 &mut scratch.logits,
             )?,
@@ -562,7 +721,7 @@ impl TransformerModel {
         }
         match mirrors {
             Some(m) => self.lm_head.matvec_batch_packed(
-                &m.lm_head.packed,
+                &m.lm_head,
                 &scratch.final_normed,
                 rows,
                 &mut scratch.logits,
@@ -711,7 +870,7 @@ impl TransformerModel {
         match mirrors {
             Some(m) => self
                 .lm_head
-                .matvec_packed(&m.lm_head.packed, final_row, logits_row)?,
+                .matvec_packed(&m.lm_head, final_row, logits_row)?,
             None => {
                 self.lm_head
                     .matvec_into_threaded(final_row, logits_row, WorkerPool::global())?
@@ -938,8 +1097,8 @@ mod tests {
         for (a, b) in chunk_state.kv.iter().zip(seq_state.kv.iter()) {
             assert_eq!(a.len(), b.len());
             for t in 0..a.len() {
-                assert_eq!(a.key(t).unwrap(), b.key(t).unwrap(), "KV keys diverged");
-                assert_eq!(a.value(t).unwrap(), b.value(t).unwrap());
+                assert_eq!(a.key_at(t), b.key_at(t), "KV keys diverged");
+                assert_eq!(a.value_at(t), b.value_at(t));
             }
         }
         let vocab = model.config.vocab_size;
@@ -1027,6 +1186,199 @@ mod tests {
         assert!(model
             .forward_tokens_batch_into(&[1], &mut states, &mut per_row, &mut batch)
             .is_err());
+    }
+
+    /// Next-token logits of `tokens` through the naive attention oracle,
+    /// dense MLPs and row-major kernels.
+    fn naive_logits(model: &TransformerModel, tokens: &[u32]) -> Vec<f32> {
+        use crate::attention::oracle;
+        let mut kvs = vec![oracle::NaiveKv::default(); model.n_layers()];
+        let mut logits = Vec::new();
+        for (pos, &t) in tokens.iter().enumerate() {
+            let mut x = model.embedding.row(t as usize).unwrap().to_vec();
+            for (layer, kv) in model.layers.iter().zip(kvs.iter_mut()) {
+                let normed = layer.attn_norm.forward(&x);
+                let a = oracle::forward_token(&layer.attn, &normed, pos, kv);
+                Vector::axpy(1.0, &a, &mut x).unwrap();
+                let y = layer
+                    .mlp
+                    .forward_dense(&layer.mlp_norm.forward(&x))
+                    .unwrap();
+                Vector::axpy(1.0, &y, &mut x).unwrap();
+            }
+            logits = model.lm_head.matvec(&model.final_norm.forward(&x)).unwrap();
+        }
+        logits
+    }
+
+    fn assert_bits(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: logit {i} diverged");
+        }
+    }
+
+    #[test]
+    fn decode_is_bitwise_identical_to_the_naive_oracle() {
+        // the private one-page pool of `new_decode_state`, a shared pool of
+        // 3-position pages, and the packed-mirror scratch path
+        let model = tiny_model();
+        let tokens = [3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
+        let shared = KvPagePool::new_handle(64, 3);
+        let mut private = model.new_decode_state();
+        let mut paged = model.new_decode_state_paged(&shared);
+        let mut mirrored = model.new_decode_state();
+        let mut scratch = DecodeScratch::for_model(&model);
+        for n in 1..=tokens.len() {
+            let want = naive_logits(&model, &tokens[..n]);
+            let t = tokens[n - 1];
+            let a = model.forward_token_dense(t, &mut private).unwrap();
+            assert_bits(&a.logits, &want, "private pool");
+            let b = model.forward_token_dense(t, &mut paged).unwrap();
+            assert_bits(&b.logits, &want, "shared pool");
+            model
+                .forward_token_into(t, &mut mirrored, &mut DenseMlp, &mut scratch)
+                .unwrap();
+            assert_bits(&scratch.logits, &want, "packed mirrors");
+        }
+        assert_eq!(scratch.pack_builds, 1);
+    }
+
+    #[test]
+    fn parked_private_state_resumes_bitwise() {
+        let model = tiny_model();
+        let tokens = [7u32, 2, 9, 4, 4, 1, 8, 3];
+        let mut pool = DecodeStatePool::new();
+        let mut scratch = DecodeScratch::for_model(&model);
+
+        let mut straight = pool.acquire(&model);
+        let mut want = Vec::new();
+        for &t in &tokens {
+            model
+                .forward_token_into(t, &mut straight, &mut DenseMlp, &mut scratch)
+                .unwrap();
+            want.push(scratch.logits.clone());
+        }
+
+        let mut state = pool.acquire(&model);
+        for (i, &t) in tokens.iter().enumerate() {
+            if i == 3 || i == 6 {
+                pool.park(11, state);
+                // a co-tenant churns through the pool while parked
+                let mut other = pool.acquire(&model);
+                model.forward_token_dense(5, &mut other).unwrap();
+                pool.release(other);
+                state = pool.resume(11).expect("parked under 11");
+                assert!(!state.is_spilled(), "a private state resumes ready");
+            }
+            model
+                .forward_token_into(t, &mut state, &mut DenseMlp, &mut scratch)
+                .unwrap();
+            assert_bits(&scratch.logits, &want[i], &format!("token {i}"));
+        }
+    }
+
+    #[test]
+    fn pool_recycles_matching_states() {
+        let model = build_synthetic(&ModelConfig::tiny(), 2).unwrap();
+        let mut pool = DecodeStatePool::new();
+        let mut state = pool.acquire(&model);
+        assert!(state.owns_pool());
+        assert_eq!(pool.build_count(), 1);
+
+        // dirty the state, release it, and acquire again: same shape comes back reset
+        model.forward_token_dense(1, &mut state).unwrap();
+        assert_eq!(state.pos, 1);
+        pool.release(state);
+        assert_eq!(pool.idle(), 1);
+        let state = pool.acquire(&model);
+        assert_eq!(state.pos, 0);
+        assert!(state.kv.iter().all(|c| c.is_empty()));
+        assert_eq!(pool.reuse_count(), 1);
+        assert_eq!(pool.idle(), 0);
+
+        // a model with a different shape does not reuse the pooled state
+        pool.release(state);
+        let mut other_config = ModelConfig::tiny();
+        other_config.max_seq_len = 128;
+        let other = build_synthetic(&other_config, 2).unwrap();
+        let _ = pool.acquire(&other);
+        assert_eq!(pool.build_count(), 2);
+        assert_eq!(pool.idle(), 1);
+    }
+
+    #[test]
+    fn park_and_resume_preserve_state_contents() {
+        let model = build_synthetic(&ModelConfig::tiny(), 2).unwrap();
+        let mut pool = DecodeStatePool::new();
+        let mut state = pool.acquire(&model);
+        model.forward_token_dense(1, &mut state).unwrap();
+        model.forward_token_dense(2, &mut state).unwrap();
+        let pos = state.pos;
+        let kv_len = state.kv[0].len();
+        assert_eq!(pos, 2);
+
+        pool.park(7, state);
+        assert_eq!(pool.parked_count(), 1);
+        assert_eq!(pool.park_count(), 1);
+        assert!(pool.resume(9).is_none());
+
+        // a co-tenant churns through acquire/release in between; the parked
+        // state must not be handed out
+        let other = pool.acquire(&model);
+        pool.release(other);
+
+        let resumed = pool.resume(7).expect("state parked under key 7");
+        assert_eq!(pool.parked_count(), 0);
+        assert_eq!(pool.resume_count(), 1);
+        assert_eq!(resumed.pos, pos, "position survives the park");
+        assert_eq!(resumed.kv[0].len(), kv_len, "KV entries survive the park");
+
+        // double-park under one key keeps exactly one live state
+        pool.park(3, resumed);
+        let fresh = pool.acquire(&model);
+        pool.park(3, fresh);
+        assert_eq!(pool.parked_count(), 1);
+        assert_eq!(pool.reclaim_parked(), 1);
+        assert_eq!(pool.parked_count(), 0);
+        // reclaimed + replaced states are recyclable, not leaked
+        let _ = pool.acquire(&model);
+        assert!(pool.reuse_count() >= 2);
+    }
+
+    #[test]
+    fn pool_recycles_shared_pool_states_and_never_leaks_pages() {
+        let model = build_synthetic(&ModelConfig::tiny(), 2).unwrap();
+        let pages = KvPagePool::new_handle(64, 8);
+        let mut pool = DecodeStatePool::new();
+
+        let mut state = pool.acquire_backed(&model, Some(&pages));
+        assert!(!state.owns_pool());
+        model.forward_token_dense(1, &mut state).unwrap();
+        model.forward_token_dense(2, &mut state).unwrap();
+        assert!(pages.borrow().pages_in_use() > 0);
+
+        // parking spills: a parked session holds zero pool pages
+        pool.park(7, state);
+        assert_eq!(pages.borrow().pages_in_use(), 0);
+        let mut state = pool.resume(7).unwrap();
+        assert!(state.is_spilled());
+        state.reload_kv().unwrap();
+        model.forward_token_dense(3, &mut state).unwrap();
+        assert_eq!(state.pos, 3);
+
+        // releasing clears: an idle pooled state holds zero pool pages
+        pool.release(state);
+        assert_eq!(pages.borrow().pages_in_use(), 0);
+
+        // a shared-pool acquire recycles the shared-pool state; a private
+        // acquire must not
+        let recycled = pool.acquire_backed(&model, Some(&pages));
+        assert_eq!(pool.reuse_count(), 1);
+        pool.release(recycled);
+        let private = pool.acquire(&model);
+        assert!(private.owns_pool());
+        assert_eq!(pool.build_count(), 2);
     }
 
     #[test]

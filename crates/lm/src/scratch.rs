@@ -24,7 +24,7 @@
 use crate::config::ModelConfig;
 use crate::mlp::{ColumnAccess, MatrixAccess, MlpAccessRecord, SliceAxis};
 use crate::model::TransformerModel;
-use tensor::{Matrix, WeightMirror};
+use tensor::{Matrix, PackedMatrix};
 
 /// Identity fingerprint of one weight matrix: buffer address, shape and a
 /// small sample of element bits. Used to detect that a scratch's mirrors
@@ -52,30 +52,28 @@ fn matrix_tag(m: &Matrix) -> MatrixTag {
     }
 }
 
-/// Mirror set of one attention block's projections (transposed copy +
-/// packed panels each; see [`WeightMirror`]).
+/// Packed panels of one attention block's projections.
 #[derive(Debug, Clone)]
 pub struct AttnMirrors {
-    /// `W_q` mirrors.
-    pub q: WeightMirror,
-    /// `W_k` mirrors.
-    pub k: WeightMirror,
-    /// `W_v` mirrors.
-    pub v: WeightMirror,
-    /// `W_o` mirrors.
-    pub o: WeightMirror,
+    /// `W_q` panels.
+    pub q: PackedMatrix,
+    /// `W_k` panels.
+    pub k: PackedMatrix,
+    /// `W_v` panels.
+    pub v: PackedMatrix,
+    /// `W_o` panels.
+    pub o: PackedMatrix,
 }
 
-/// Mirror set of one GLU MLP block's matrices (transposed copy + packed
-/// panels each; see [`WeightMirror`]).
+/// Packed panels of one GLU MLP block's matrices.
 #[derive(Debug, Clone)]
 pub struct MlpMirrors {
-    /// `W_u` mirrors.
-    pub up: WeightMirror,
-    /// `W_g` mirrors.
-    pub gate: WeightMirror,
-    /// `W_d` mirrors.
-    pub down: WeightMirror,
+    /// `W_u` panels.
+    pub up: PackedMatrix,
+    /// `W_g` panels.
+    pub gate: PackedMatrix,
+    /// `W_d` panels.
+    pub down: PackedMatrix,
 }
 
 /// Mirrors of one transformer layer.
@@ -87,18 +85,17 @@ pub struct LayerMirrors {
     pub mlp: MlpMirrors,
 }
 
-/// Mirrors of every hot-path weight matrix of one model: for each matrix,
-/// both a pre-transposed copy (the historical mirrored kernels; also the
-/// layout transpose-consuming callers want) and the packed `MR`-row panels
-/// the register-blocked microkernels ([`Matrix::matvec_packed`] family)
-/// run on. Both kernel families stay bitwise identical to the row-major
-/// kernels — the mirrors cost memory and build time, never bits.
+/// Mirrors of every hot-path weight matrix of one model: the packed
+/// `MR`-row panels the register-blocked microkernels
+/// ([`Matrix::matvec_packed`] family) run on. The packed kernels stay
+/// bitwise identical to the row-major kernels — the mirrors cost memory
+/// and build time, never bits.
 ///
 /// The decode loop builds mirrors lazily into its [`DecodeScratch`] and
 /// validates them each token against the model's fingerprints (buffer
 /// pointers, shapes and sampled element bits), so a scratch reused with a
 /// *different* model — or a model whose weights were swapped out mid-run —
-/// rebuilds every mirror (transposed *and* packed) instead of computing
+/// rebuilds every mirror instead of computing
 /// garbage. Mutating a model's weights in place while reusing a warm
 /// scratch with it is not supported (transforms happen before decode loops
 /// everywhere in this workspace).
@@ -106,8 +103,8 @@ pub struct LayerMirrors {
 pub struct ModelMirrors {
     /// Per-layer mirrors.
     pub layers: Vec<LayerMirrors>,
-    /// LM head mirror.
-    pub lm_head: WeightMirror,
+    /// LM head panels.
+    pub lm_head: PackedMatrix,
     tags: Vec<MatrixTag>,
 }
 
@@ -131,29 +128,29 @@ impl ModelMirrors {
             .chain(std::iter::once(&model.lm_head))
     }
 
-    /// Transposes **and packs** every hot-path matrix of `model` (the one
-    /// expensive step; done once per (scratch, model) pairing).
+    /// Packs every hot-path matrix of `model` (the one expensive step; done
+    /// once per (scratch, model) pairing).
     pub fn build(model: &TransformerModel) -> Self {
         let layers = model
             .layers
             .iter()
             .map(|l| LayerMirrors {
                 attn: AttnMirrors {
-                    q: WeightMirror::build(&l.attn.w_q),
-                    k: WeightMirror::build(&l.attn.w_k),
-                    v: WeightMirror::build(&l.attn.w_v),
-                    o: WeightMirror::build(&l.attn.w_o),
+                    q: PackedMatrix::pack(&l.attn.w_q),
+                    k: PackedMatrix::pack(&l.attn.w_k),
+                    v: PackedMatrix::pack(&l.attn.w_v),
+                    o: PackedMatrix::pack(&l.attn.w_o),
                 },
                 mlp: MlpMirrors {
-                    up: WeightMirror::build(&l.mlp.w_up),
-                    gate: WeightMirror::build(&l.mlp.w_gate),
-                    down: WeightMirror::build(&l.mlp.w_down),
+                    up: PackedMatrix::pack(&l.mlp.w_up),
+                    gate: PackedMatrix::pack(&l.mlp.w_gate),
+                    down: PackedMatrix::pack(&l.mlp.w_down),
                 },
             })
             .collect();
         ModelMirrors {
             layers,
-            lm_head: WeightMirror::build(&model.lm_head),
+            lm_head: PackedMatrix::pack(&model.lm_head),
             tags: Self::model_matrices(model).map(matrix_tag).collect(),
         }
     }
@@ -477,8 +474,8 @@ pub struct BatchScratch {
     /// (telemetry only; `rows_computed / fused_passes` is the realised mean
     /// batch width).
     pub fused_passes: u64,
-    /// Lifetime nanoseconds spent building weight mirrors (transpose +
-    /// pack) into this scratch (telemetry only).
+    /// Lifetime nanoseconds spent packing weight mirrors into this scratch
+    /// (telemetry only).
     pub pack_nanos: u64,
     /// Lifetime count of mirror (re)builds into this scratch (telemetry
     /// only — a rebuild after warm-up means weights were swapped mid-run).
@@ -576,11 +573,11 @@ pub struct DecodeScratch {
     pub mirrors: Option<ModelMirrors>,
     /// Whether the decode loop may build and use weight mirrors. Defaults
     /// to `true`; one-shot callers (the allocating `forward_token` wrapper)
-    /// turn it off, since an O(model-weights) transpose per token would
-    /// dwarf the token itself.
+    /// turn it off, since an O(model-weights) pack per token would dwarf the
+    /// token itself.
     pub use_mirrors: bool,
-    /// Lifetime nanoseconds spent building weight mirrors (transpose +
-    /// pack) into this scratch (telemetry only).
+    /// Lifetime nanoseconds spent packing weight mirrors into this scratch
+    /// (telemetry only).
     pub pack_nanos: u64,
     /// Lifetime count of mirror (re)builds into this scratch (telemetry
     /// only — a rebuild after warm-up means weights were swapped mid-run).

@@ -21,9 +21,10 @@
 //!    token at a time; [`ExecutionMode::Sequential`] keeps the
 //!    token-at-a-time path as the oracle (see
 //!    `tests/batched_equivalence.rs` and DESIGN.md §11). Every served
-//!    token's weight accesses are recorded into the session's
+//!    token's weight accesses are recorded into its stream's
 //!    [`hwsim::AccessTrace`], and the position's session into the global
-//!    interleave order.
+//!    interleave order. (The open loop prices each token as it is served
+//!    and keeps no trace.)
 //! 3. **Pricing.** The per-session traces are replayed in that exact order
 //!    through one *shared* DRAM column cache
 //!    ([`hwsim::simulate_concurrent`]), which prices every token and yields
@@ -133,8 +134,8 @@ const MAX_PREFILL_CHUNK: usize = 64;
 
 /// Paged KV memory configuration (see DESIGN.md §14).
 ///
-/// Instead of one flat full-context KV cache per slot, every session's KV
-/// backing becomes a page table over one engine-wide [`lm::KvPagePool`] of
+/// Instead of a private full-context KV page per session, every session's
+/// KV becomes a page table over one engine-wide [`lm::KvPagePool`] of
 /// `pool_pages` fixed-size pages. Admission then gates on *pages*, not
 /// slots: a fleet of thousands of short sessions fits the same fixed memory
 /// budget that eight full-context slots would pin. With `prefix_sharing`,
@@ -175,8 +176,8 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Batched-lane or sequential (oracle) execution of the schedule.
     pub execution: ExecutionMode,
-    /// Back sessions with a paged KV pool instead of flat per-slot caches
-    /// (`None` = flat, the default).
+    /// Back sessions with one shared paged KV pool instead of a private
+    /// full-context page each (`None`, the default).
     pub paged_kv: Option<PagedKvConfig>,
     /// Which open-loop scheduling core drives the virtual clock (closed
     /// batches always use the unrestricted pick).
@@ -386,7 +387,7 @@ impl ServeConfig {
                 return Err(ServeError::InvalidConfig {
                     field: "fault_plan.page_loss_every_s",
                     reason: "KV page loss needs a paged KV pool to lose pages from; \
-                             flat per-slot caches have no pages"
+                             private per-session pools have no shared pages"
                         .to_string(),
                 });
             }
@@ -441,7 +442,6 @@ struct ExecBuffers {
     states: Vec<lm::DecodeState>,
     strategies: Vec<Box<dyn MlpForward>>,
     priced: Vec<(hwsim::TokenCost, f64)>,
-    row_accesses: Vec<hwsim::TokenAccess>,
 }
 
 /// Chunked-prefill time-slice state of [`EngineCore::EventDriven`].
@@ -627,7 +627,8 @@ pub struct ServeEngine {
     batch: BatchScratch,
     plan: BatchPlan,
     exec: ExecBuffers,
-    /// Paged KV pool + prefix registry (`None` on flat backings).
+    /// Shared KV page pool + prefix registry (`None` when every session
+    /// owns a private pool).
     paged: Option<PagedRuntime>,
     /// Optional observability pipeline; `None` (the default) costs a single
     /// branch per hook. Boxed so the engine stays cheap to move.
@@ -764,8 +765,8 @@ impl ServeEngine {
 
     /// Admission gate of the paged pool: plans `request` against the
     /// commitment ledger and returns its admission plan if it fits (always
-    /// `Some(None)` on flat backings). When nothing is running and nothing
-    /// else can free pages, the prefix registry is evicted and the plan
+    /// `Some(None)` without a shared pool). When nothing is running and
+    /// nothing else can free pages, the prefix registry is evicted and the plan
     /// recomputed — [`ServeConfig::validate`] plus the per-run request
     /// validation guarantee any single request fits an empty pool, so
     /// serving can always make progress.
@@ -809,11 +810,8 @@ impl ServeEngine {
         session.kv_pages_committed = plan.needed;
         match plan.hit {
             Some((entry, len)) => {
-                for (layer, backing) in session.state.kv.iter_mut().enumerate() {
-                    backing
-                        .paged_mut()
-                        .expect("paged engines acquire paged states")
-                        .adopt_prefix(&paged.registry.entry_pages(entry)[layer], len)?;
+                for (layer, kv) in session.state.kv.iter_mut().enumerate() {
+                    kv.adopt_prefix(&paged.registry.entry_pages(entry)[layer], len)?;
                 }
                 session.state.pos = len;
                 session.skip_prefilled_prefix(len);
@@ -1168,7 +1166,7 @@ impl ServeEngine {
         );
         let allocation = hwsim::allocate(&layout, &self.config.device)?;
 
-        let n_streams = requests.len();
+        let mut traces = vec![AccessTrace::new(); requests.len()];
         let mut factory = StrategyFactory::new();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let sequential = self.config.execution == ExecutionMode::Sequential;
@@ -1226,9 +1224,11 @@ impl ServeEngine {
                     .next_service(&active)
                     .expect("active set is non-empty");
                 let step = order.len();
-                let planned = active[idx].step(&self.model, &mut rng, step, &mut self.scratch)?;
+                let (planned, access) =
+                    active[idx].step(&self.model, &mut rng, step, &mut self.scratch)?;
                 active[idx].last_served_step = step;
                 order.push(active[idx].stream);
+                traces[active[idx].stream].push(access);
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.on_closed_token(active[idx].stream, planned.was_prefill);
                 }
@@ -1282,7 +1282,8 @@ impl ServeEngine {
                     let logits = self
                         .row_logits_ready(i)
                         .then(|| &self.batch.logits[i * vocab..(i + 1) * vocab]);
-                    active[row.idx].finish_row(access, logits);
+                    active[row.idx].finish_row(logits);
+                    traces[row.stream].push(access);
                     order.push(row.stream);
                     if let Some(t) = self.telemetry.as_deref_mut() {
                         t.on_closed_token(row.stream, row.planned.was_prefill);
@@ -1328,11 +1329,11 @@ impl ServeEngine {
                 &self.pool,
                 self.batch.rows_computed,
                 self.batch.fused_passes,
-                self.batch.pack_nanos,
-                self.batch.pack_builds,
+                self.batch.pack_nanos + self.scratch.pack_nanos,
+                self.batch.pack_builds + self.scratch.pack_builds,
             );
         }
-        self.build_report(&layout, finished, order, n_streams)
+        self.build_report(&layout, finished, order, traces)
     }
 
     /// Fires one [`crate::event::EventKind::Arrival`]: takes the request
@@ -1887,19 +1888,14 @@ impl ServeEngine {
                 let idx =
                     pick_service(&self.config.scheduler, &active, slice.as_mut(), chunk_limit)
                         .expect("active set is non-empty");
-                let planned = active[idx].step(&self.model, &mut rng, step, &mut self.scratch)?;
+                let (planned, access) =
+                    active[idx].step(&self.model, &mut rng, step, &mut self.scratch)?;
                 active[idx].last_served_step = step;
                 step += 1;
                 if let Some(slice) = slice.as_mut() {
                     slice.note(active[idx].stream, planned.was_prefill);
                 }
-                let mut cost = pricer.price_token(
-                    active[idx]
-                        .trace
-                        .tokens
-                        .last()
-                        .expect("step recorded its token access"),
-                )?;
+                let mut cost = pricer.price_token(&access)?;
                 if slow_factor != 1.0 {
                     cost.latency_s *= slow_factor;
                 }
@@ -2002,8 +1998,6 @@ impl ServeEngine {
                 // dispatch: price every position in plan order (the bus
                 // order), recording each one's completion time on the clock
                 self.exec.priced.clear();
-                let mut row_accesses = std::mem::take(&mut self.exec.row_accesses);
-                row_accesses.clear();
                 let mut end = now;
                 for i in 0..rows_n {
                     let access = to_token_access_batch_row(&self.batch.accesses, i);
@@ -2013,7 +2007,6 @@ impl ServeEngine {
                     }
                     end += cost.latency_s;
                     self.exec.priced.push((cost, end));
-                    row_accesses.push(access);
                 }
                 events.push_at(end, EngineEvent::UnitDone { tokens: rows_n });
                 while let Some(ev) = events.pop_due(end) {
@@ -2035,7 +2028,7 @@ impl ServeEngine {
                     }
                 }
                 // settlement: each position lands at its own recorded time
-                for (i, access) in row_accesses.drain(..).enumerate() {
+                for i in 0..rows_n {
                     let row = self.plan.rows[i];
                     let (cost, at) = self.exec.priced[i];
                     settle_open_loop_token(
@@ -2061,7 +2054,7 @@ impl ServeEngine {
                     let logits = self
                         .row_logits_ready(i)
                         .then(|| &self.batch.logits[i * vocab..(i + 1) * vocab]);
-                    active[row.idx].finish_row(access, logits);
+                    active[row.idx].finish_row(logits);
                     factory.observe_cross_traffic_batch_row(
                         active[row.idx].request.strategy.shared_cache_key(),
                         &self.batch.accesses,
@@ -2071,7 +2064,6 @@ impl ServeEngine {
                     );
                     step += 1;
                 }
-                self.exec.row_accesses = row_accesses;
                 for i in 0..rows_n {
                     let row_idx = self.plan.rows[i].idx;
                     try_register_prefix(&mut self.paged, &mut active[row_idx]);
@@ -2115,8 +2107,8 @@ impl ServeEngine {
                 &self.pool,
                 self.batch.rows_computed,
                 self.batch.fused_passes,
-                self.batch.pack_nanos,
-                self.batch.pack_builds,
+                self.batch.pack_nanos + self.scratch.pack_nanos,
+                self.batch.pack_builds + self.scratch.pack_builds,
             );
         }
         Ok(self.build_open_loop_report(finished, metas, admission, acc, fc, now))
@@ -2149,9 +2141,8 @@ impl ServeEngine {
             total_generated += generated;
             // count *served* prefill tokens: a mapped shared prefix was never
             // forwarded (and must not inflate the token timeline), while a
-            // page-loss replay re-serves positions and must count each pass —
-            // the recorded trace holds exactly the forwarded steps
-            total_prefill += s.trace.n_tokens() - generated;
+            // page-loss replay re-serves positions and must count each pass
+            total_prefill += s.forwarded - generated;
             let ttft_s = if generated > 0 {
                 meta.first_token_s - meta.arrival_s
             } else {
@@ -2365,17 +2356,9 @@ impl ServeEngine {
         layout: &hwsim::ModelLayout,
         mut finished: Vec<Session>,
         order: Vec<usize>,
-        n_streams: usize,
+        streams: Vec<AccessTrace>,
     ) -> Result<ServeReport> {
         finished.sort_by_key(|s| s.stream);
-        let streams: Vec<AccessTrace> = {
-            // move (not clone) each session's recorded trace into stream order
-            let mut traces = vec![AccessTrace::new(); n_streams];
-            for s in &mut finished {
-                traces[s.stream] = std::mem::take(&mut s.trace);
-            }
-            traces
-        };
         let sim = simulate_concurrent(
             layout,
             &self.config.device,
@@ -2939,7 +2922,7 @@ fn abort_session(ctx: FaultCtx<'_>, request: u64, at: f64) {
 /// whole page boundary — never below the adopted prefix, whose pages are
 /// mapped, not owned — and re-prefills the lost suffix through the
 /// ordinary serve path (bitwise-identical KV, so outputs are unchanged;
-/// the fault costs time, not correctness). With flat backing or no
+/// the fault costs time, not correctness). Without a shared pool or an
 /// eligible session the event is a no-op.
 fn page_loss(ctx: FaultCtx<'_>, draw: u64, at: f64) {
     let Some(paged) = ctx.paged.as_mut() else {
@@ -3215,6 +3198,24 @@ mod tests {
             assert!(r.service_s <= r.completion_s + 1e-12);
         }
         assert!(!report.summary().is_empty());
+    }
+
+    #[test]
+    fn pack_telemetry_counts_the_scratch_that_packs() {
+        // Sequential decodes through `DecodeScratch`, Batched through
+        // `BatchScratch`: each packs the weights exactly once, and the
+        // exported gauge must see it in either mode
+        for mode in [ExecutionMode::Sequential, ExecutionMode::Batched] {
+            let mut engine = tiny_engine(2, 0.6);
+            engine.config.execution = mode;
+            engine.attach_telemetry(EngineTelemetry::new(crate::TelemetryConfig::default(), &[]));
+            engine.run(dense_requests(3, 2, 3)).unwrap();
+            let text = ::telemetry::render_prometheus(engine.telemetry().unwrap().registry());
+            assert!(
+                text.lines().any(|l| l == "serve_pack_builds 1"),
+                "{mode:?}: {text}"
+            );
+        }
     }
 
     #[test]

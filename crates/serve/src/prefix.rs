@@ -1,9 +1,9 @@
 //! Shared-prefix caching over the paged KV pool.
 //!
 //! Fleets of assistant sessions overwhelmingly open with the same tokens —
-//! a product's system prompt, a few-shot template — and under flat per-slot
-//! KV caches every session re-prefills that prefix from scratch. With the
-//! paged pool ([`lm::KvPagePool`]) the engine can do better: the first
+//! a product's system prompt, a few-shot template — and with private
+//! per-session KV every session re-prefills that prefix from scratch. With
+//! a shared page pool ([`lm::KvPagePool`]) the engine can do better: the first
 //! session to prefill a declared shared prefix *registers* the pages that
 //! hold it, and every later session arriving with the same `(strategy,
 //! prefix tokens)` pair maps those pages
@@ -179,9 +179,8 @@ impl PrefixRegistry {
         let mut pages = Vec::with_capacity(state.kv.len());
         {
             let mut pool = self.pool.borrow_mut();
-            for backing in &state.kv {
-                let paged = backing.paged().expect("registering a paged state");
-                let layer_pages = &paged.pages()[..n_pages];
+            for kv in &state.kv {
+                let layer_pages = &kv.pages()[..n_pages];
                 for &p in layer_pages {
                     pool.retain(p);
                 }

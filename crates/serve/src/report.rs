@@ -248,8 +248,8 @@ pub struct OpenLoopStats {
     pub strategies: Vec<StrategyClassStats>,
 }
 
-/// Paged-KV pool outcomes of one run (present when the engine serves from a
-/// [`lm::KvPagePool`] instead of flat per-slot caches).
+/// Paged-KV pool outcomes of one run (present when the engine's sessions
+/// share one [`lm::KvPagePool`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PagedKvStats {
     /// Positions per page.
@@ -331,7 +331,8 @@ pub struct ServeReport {
     pub dram_bytes: f64,
     /// Open-loop aggregates (`None` for closed-batch runs).
     pub open_loop: Option<OpenLoopStats>,
-    /// Paged-KV pool outcomes (`None` when serving from flat caches).
+    /// Shared KV page-pool outcomes (`None` when the engine has no shared
+    /// pool).
     pub paged_kv: Option<PagedKvStats>,
 }
 

@@ -4,7 +4,7 @@ use crate::error::Result;
 use crate::layout::to_token_access_scratch;
 use crate::report::FinishReason;
 use crate::request::GenRequest;
-use hwsim::{AccessTrace, TokenAccess};
+use hwsim::TokenAccess;
 use lm::model::sample_from_logits;
 use lm::{DecodeScratch, DecodeState, MlpForward, TransformerModel};
 use rand::rngs::StdRng;
@@ -47,8 +47,8 @@ pub struct Session {
     pub strategy: Box<dyn MlpForward>,
     /// Tokens generated so far.
     pub generated: Vec<u32>,
-    /// Weight-access trace of every served token (prefill + decode).
-    pub trace: AccessTrace,
+    /// Forward passes served (prefill, decode and page-loss replay).
+    pub(crate) forwarded: usize,
     /// Step at which this session was last served (scheduler bookkeeping for
     /// least-recently-served token ordering).
     pub last_served_step: usize,
@@ -58,7 +58,7 @@ pub struct Session {
     next_prompt_idx: usize,
     last_logits: Vec<f32>,
     /// Pages of the paged KV pool this session's admission committed (the
-    /// engine's conservative memory accounting; 0 under flat backing).
+    /// engine's conservative memory accounting; 0 without a shared pool).
     pub(crate) kv_pages_committed: usize,
     /// Prompt tokens skipped at admission because a shared prefix was
     /// already prefilled (see [`Session::skip_prefilled_prefix`]).
@@ -102,7 +102,7 @@ impl Session {
             state,
             strategy,
             generated: Vec::new(),
-            trace: AccessTrace::new(),
+            forwarded: 0,
             last_served_step: admitted_step,
             last_prefill_position: None,
             next_prompt_idx: 0,
@@ -271,13 +271,13 @@ impl Session {
         })
     }
 
-    /// Completes one served token: records its weight accesses into the
-    /// session trace and, when given, the logits it produced. `None` logits
-    /// are the interior rows of a prefill chunk — the sequential path
-    /// computes those logits and immediately overwrites them, so not
-    /// storing them changes no observable value.
-    pub(crate) fn finish_row(&mut self, access: TokenAccess, logits: Option<&[f32]>) {
-        self.trace.push(access);
+    /// Completes one served token: counts the forward pass and, when
+    /// given, keeps the logits it produced. `None` logits are the interior
+    /// rows of a prefill chunk — the sequential path computes those logits
+    /// and immediately overwrites them, so not storing them changes no
+    /// observable value.
+    pub(crate) fn finish_row(&mut self, logits: Option<&[f32]>) {
+        self.forwarded += 1;
         if let Some(logits) = logits {
             self.last_logits.clear();
             self.last_logits.extend_from_slice(logits);
@@ -285,14 +285,15 @@ impl Session {
     }
 
     /// Serves one token (the next prompt token during prefill, a sampled
-    /// continuation during decode), recording its weight accesses and its
-    /// position `step` in the global schedule. The engine-owned `scratch`
-    /// provides every decode buffer; after the call its
-    /// [`DecodeScratch::accesses`] hold the served token's per-layer access
-    /// records for the engine to propagate to co-tenant cache models.
+    /// continuation during decode) at position `step` in the global
+    /// schedule. The engine-owned `scratch` provides every decode buffer;
+    /// after the call its [`DecodeScratch::accesses`] hold the served
+    /// token's per-layer access records for the engine to propagate to
+    /// co-tenant cache models.
     ///
     /// Returns the planning flags of the served token (what phase it was,
-    /// whether it completed the prompt).
+    /// whether it completed the prompt) and its weight accesses, which the
+    /// session does not keep.
     ///
     /// # Errors
     ///
@@ -303,7 +304,7 @@ impl Session {
         rng: &mut StdRng,
         step: usize,
         scratch: &mut DecodeScratch,
-    ) -> Result<PlannedToken> {
+    ) -> Result<(PlannedToken, TokenAccess)> {
         let planned = self.plan_token(rng, step)?;
         model.forward_token_into(
             planned.token,
@@ -311,11 +312,8 @@ impl Session {
             self.strategy.as_mut(),
             scratch,
         )?;
-        self.finish_row(
-            to_token_access_scratch(&scratch.accesses),
-            Some(&scratch.logits),
-        );
-        Ok(planned)
+        self.finish_row(Some(&scratch.logits));
+        Ok((planned, to_token_access_scratch(&scratch.accesses)))
     }
 
     /// Schedule position whose completion makes the first generated token
@@ -358,7 +356,7 @@ mod tests {
         assert_eq!(session.phase(), SessionPhase::Finished);
         assert_eq!(session.remaining_tokens(), 0);
         assert_eq!(session.generated.len(), 3);
-        assert_eq!(session.trace.n_tokens(), 5);
+        assert_eq!(session.forwarded, 5);
         // the first generated token is sampled from the logits of the second
         // (last) prompt forward, scheduled at position 2
         assert_eq!(session.first_token_position(), Some(2));
@@ -420,7 +418,7 @@ mod tests {
         assert_eq!(b.remaining_tokens(), 4);
         let mut step = 4;
         while b.phase() != SessionPhase::Finished {
-            let planned = b.step(&model, &mut rng_b, step, &mut scratch).unwrap();
+            let (planned, _) = b.step(&model, &mut rng_b, step, &mut scratch).unwrap();
             step += 1;
             assert!(
                 !planned.prefill_ended,

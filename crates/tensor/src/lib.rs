@@ -49,7 +49,7 @@ pub mod vector;
 pub use activation::Activation;
 pub use error::{Result, TensorError};
 pub use matrix::Matrix;
-pub use packed::{PackedMatrix, QuantMatvec, WeightMirror};
+pub use packed::{PackedMatrix, QuantMatvec};
 pub use pool::WorkerPool;
 pub use sparse::ColumnMask;
 pub use vector::Vector;

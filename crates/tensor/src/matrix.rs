@@ -12,8 +12,8 @@
 //! `matvec_cols` additionally swaps its cache-hostile stride-`cols` column
 //! walk for a row-outer loop with a gathered inner loop (each row is a
 //! contiguous cache-resident slice), preserving the per-output accumulation
-//! order exactly; [`Matrix::matvec_cols_mirrored`] offers the alternative
-//! contiguous formulation through a pre-transposed mirror.
+//! order exactly. The `_packed` kernels run the same products over a
+//! [`crate::PackedMatrix`] panel layout.
 
 use crate::error::{Result, TensorError};
 use crate::pool::{chunk_size, WorkerPool};
@@ -502,163 +502,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Dense product through a pre-transposed mirror of this matrix
-    /// (`mirror == self.transpose()`).
-    ///
-    /// Accumulating column contributions in ascending-column order gives
-    /// every output exactly the same addition sequence as the sequential
-    /// row dot (`0 + w[r][0]·x[0] + w[r][1]·x[1] + …`), so this is bitwise
-    /// identical to [`Matrix::matvec`] — but each pass reads *contiguous*
-    /// mirror rows and the per-element updates are independent, which the
-    /// autovectorizer turns into full-width SIMD. This is the preferred
-    /// dense kernel wherever a mirror is worth its memory (see
-    /// `lm::scratch::ModelMirrors`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the mirror's shape is not
-    /// the transpose of this matrix's or the vector lengths are wrong.
-    pub fn matvec_mirrored(&self, mirror: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-        if mirror.shape() != (self.cols, self.rows) {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_mirrored",
-                expected: (self.cols, self.rows),
-                found: mirror.shape(),
-            });
-        }
-        if x.len() != self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_mirrored",
-                expected: (self.cols, 1),
-                found: (x.len(), 1),
-            });
-        }
-        if out.len() != self.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_mirrored",
-                expected: (self.rows, 1),
-                found: (out.len(), 1),
-            });
-        }
-        if crate::kernels::reference_mode() {
-            crate::reference::matvec_into(self, x, out);
-            return Ok(());
-        }
-        out.fill(0.0);
-        let rows = self.rows;
-        let mut c = 0usize;
-        let mut quads = x.chunks_exact(4);
-        for quad in &mut quads {
-            let base = c * rows;
-            let w0 = &mirror.data[base..base + rows];
-            let w1 = &mirror.data[base + rows..base + 2 * rows];
-            let w2 = &mirror.data[base + 2 * rows..base + 3 * rows];
-            let w3 = &mirror.data[base + 3 * rows..base + 4 * rows];
-            let (x0, x1, x2, x3) = (quad[0], quad[1], quad[2], quad[3]);
-            for (i, o) in out.iter_mut().enumerate() {
-                let mut acc = *o;
-                acc += w0[i] * x0;
-                acc += w1[i] * x1;
-                acc += w2[i] * x2;
-                acc += w3[i] * x3;
-                *o = acc;
-            }
-            c += 4;
-        }
-        for &xv in quads.remainder() {
-            let row = &mirror.data[c * rows..(c + 1) * rows];
-            for (o, &wv) in out.iter_mut().zip(row.iter()) {
-                *o += wv * xv;
-            }
-            c += 1;
-        }
-        Ok(())
-    }
-
-    /// Column-sparse product through a pre-transposed mirror of this matrix
-    /// (`mirror == self.transpose()`): each active column of `W` is a
-    /// *contiguous row* of the mirror, so the kernel degenerates to a few
-    /// fused axpy passes. Bitwise identical to [`Matrix::matvec_cols`].
-    ///
-    /// Worth the 2× weight memory only for heavily-reused matrices; the
-    /// gathered row-outer kernel ([`Matrix::matvec_cols_into`]) is the
-    /// default hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the mirror's shape is not
-    /// the transpose of this matrix's or the vector lengths are wrong, and
-    /// [`TensorError::IndexOutOfBounds`] for an invalid column index.
-    pub fn matvec_cols_mirrored(
-        &self,
-        mirror: &Matrix,
-        x: &[f32],
-        active_cols: &[usize],
-        out: &mut [f32],
-    ) -> Result<()> {
-        if mirror.shape() != (self.cols, self.rows) {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_cols_mirrored",
-                expected: (self.cols, self.rows),
-                found: mirror.shape(),
-            });
-        }
-        if x.len() != self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_cols_mirrored",
-                expected: (self.cols, 1),
-                found: (x.len(), 1),
-            });
-        }
-        if out.len() != self.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_cols_mirrored",
-                expected: (self.rows, 1),
-                found: (out.len(), 1),
-            });
-        }
-        out.fill(0.0);
-        if let Some(&bad) = active_cols.iter().find(|&&c| c >= self.cols) {
-            return Err(TensorError::IndexOutOfBounds {
-                index: bad,
-                len: self.cols,
-            });
-        }
-        // Accumulate mirror rows in active order, fusing up to 4 rows per
-        // pass over `out`. Within one fused pass the per-element additions
-        // stay in active order, so the result is bitwise identical to one
-        // axpy pass per active column.
-        let rows = self.rows;
-        let mut batch: [(&[f32], f32); 4] = [(&[], 0.0); 4];
-        let mut filled = 0usize;
-        for &c in active_cols {
-            let xv = x[c];
-            if xv == 0.0 {
-                continue;
-            }
-            batch[filled] = (&mirror.data[c * rows..(c + 1) * rows], xv);
-            filled += 1;
-            if filled == 4 {
-                let [(w0, x0), (w1, x1), (w2, x2), (w3, x3)] = batch;
-                for (i, o) in out.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    acc += w0[i] * x0;
-                    acc += w1[i] * x1;
-                    acc += w2[i] * x2;
-                    acc += w3[i] * x3;
-                    *o = acc;
-                }
-                filled = 0;
-            }
-        }
-        for &(w, xv) in &batch[..filled] {
-            for (o, &wv) in out.iter_mut().zip(w.iter()) {
-                *o += wv * xv;
-            }
-        }
-        Ok(())
-    }
-
     /// Validates a packed-panel mirror against this matrix's shape.
     fn check_packed(&self, op: &'static str, packed: &crate::packed::PackedMatrix) -> Result<()> {
         if (packed.rows(), packed.cols()) != self.shape() {
@@ -679,8 +522,7 @@ impl Matrix {
     /// Accumulators live in registers for the whole ascending-column loop
     /// (one load/store per output instead of one per column quad), so the
     /// addition sequence per output is exactly the sequential row dot —
-    /// bitwise identical to [`Matrix::matvec`] and
-    /// [`Matrix::matvec_mirrored`] for every dispatch choice.
+    /// bitwise identical to [`Matrix::matvec`] for every dispatch choice.
     ///
     /// # Errors
     ///
@@ -1148,115 +990,6 @@ impl Matrix {
         }
     }
 
-    /// Batched dense product through a pre-transposed mirror
-    /// (`mirror == self.transpose()`): the column-outer formulation of
-    /// [`Matrix::matvec_batch_into`]. Each RHS accumulates column
-    /// contributions in ascending order — the same addition sequence as the
-    /// sequential row dot — so every output row is bitwise identical to
-    /// [`Matrix::matvec_mirrored`] / [`Matrix::matvec`] on that RHS, while a
-    /// quad of mirror rows is loaded once for all `k` vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] for a non-transposed mirror or
-    /// bad `xs`/`out` lengths.
-    pub fn matvec_batch_mirrored(
-        &self,
-        mirror: &Matrix,
-        xs: &[f32],
-        k: usize,
-        out: &mut [f32],
-    ) -> Result<()> {
-        if mirror.shape() != (self.cols, self.rows) {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_batch",
-                expected: (self.cols, self.rows),
-                found: mirror.shape(),
-            });
-        }
-        self.check_batch_shapes(xs, k, out)?;
-        if crate::kernels::reference_mode() {
-            crate::reference::matvec_batch_into(self, xs, k, out);
-            return Ok(());
-        }
-        out.fill(0.0);
-        let (rows, cols) = self.shape();
-        if k >= 16 {
-            // Tall batches (prefill chunks): keep one SEG-wide output
-            // segment in registers across the *entire* column loop, so each
-            // output is loaded and stored exactly once per call and the
-            // mirror's SEG-element column band (hot in L1 across all RHS
-            // rows) is the only streamed operand. Per output the accumulation still runs
-            // over ascending columns — bitwise identical to the sequential
-            // row dot.
-            const SEG: usize = 32;
-            let mut jb = 0usize;
-            while jb + SEG <= rows {
-                for s in 0..k {
-                    let x_row = &xs[s * cols..(s + 1) * cols];
-                    let mut acc = [0.0f32; SEG];
-                    for (c, &xv) in x_row.iter().enumerate() {
-                        let w = &mirror.data[c * rows + jb..c * rows + jb + SEG];
-                        for i in 0..SEG {
-                            acc[i] += w[i] * xv;
-                        }
-                    }
-                    out[s * rows + jb..s * rows + jb + SEG].copy_from_slice(&acc);
-                }
-                jb += SEG;
-            }
-            // remainder output rows: scalar accumulators, same order
-            if jb < rows {
-                let tail = rows - jb;
-                for s in 0..k {
-                    let x_row = &xs[s * cols..(s + 1) * cols];
-                    let out_tail = &mut out[s * rows + jb..(s + 1) * rows];
-                    for (c, &xv) in x_row.iter().enumerate() {
-                        let w = &mirror.data[c * rows + jb..c * rows + jb + tail];
-                        for (o, &wv) in out_tail.iter_mut().zip(w.iter()) {
-                            *o += wv * xv;
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }
-        let mut c = 0usize;
-        while c + 4 <= cols {
-            let base = c * rows;
-            let w0 = &mirror.data[base..base + rows];
-            let w1 = &mirror.data[base + rows..base + 2 * rows];
-            let w2 = &mirror.data[base + 2 * rows..base + 3 * rows];
-            let w3 = &mirror.data[base + 3 * rows..base + 4 * rows];
-            for s in 0..k {
-                let xb = &xs[s * cols + c..s * cols + c + 4];
-                let (x0, x1, x2, x3) = (xb[0], xb[1], xb[2], xb[3]);
-                let o = &mut out[s * rows..(s + 1) * rows];
-                for (i, ov) in o.iter_mut().enumerate() {
-                    let mut acc = *ov;
-                    acc += w0[i] * x0;
-                    acc += w1[i] * x1;
-                    acc += w2[i] * x2;
-                    acc += w3[i] * x3;
-                    *ov = acc;
-                }
-            }
-            c += 4;
-        }
-        while c < cols {
-            let w = &mirror.data[c * rows..(c + 1) * rows];
-            for s in 0..k {
-                let xv = xs[s * cols + c];
-                let o = &mut out[s * rows..(s + 1) * rows];
-                for (ov, &wv) in o.iter_mut().zip(w.iter()) {
-                    *ov += wv * xv;
-                }
-            }
-            c += 1;
-        }
-        Ok(())
-    }
-
     /// Like [`Matrix::matvec_batch_into`], but row-partitions the weight
     /// pass across the worker pool for large matrices. Row partitioning
     /// never splits a dot product, so the result is bitwise identical to the
@@ -1418,8 +1151,7 @@ impl Matrix {
     /// Walks the matrix in cache-sized tiles so both the source rows and
     /// the destination rows stay resident, instead of the naive
     /// stride-`rows` scalar walk ([`crate::reference::transpose`], which
-    /// this is element-for-element identical to). The result doubles as the
-    /// mirror argument of [`Matrix::matvec_cols_mirrored`].
+    /// this is element-for-element identical to).
     pub fn transpose(&self) -> Matrix {
         const TILE: usize = 32;
         let (rows, cols) = self.shape();

@@ -12,7 +12,7 @@
 //! A microkernel walking one panel with ascending `c` therefore reads the
 //! buffer **fully sequentially** while keeping `MR` output accumulators in
 //! registers: each output element is loaded and stored exactly once per
-//! call, instead of once per column quad as in the mirrored axpy kernels.
+//! call.
 //! The final panel is zero-padded (padding lanes compute `±0.0`
 //! contributions into accumulators that are never stored).
 //!
@@ -92,30 +92,6 @@ impl PackedMatrix {
     /// Bytes of packed storage (telemetry / memory accounting).
     pub fn packed_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
-    }
-}
-
-/// A weight matrix's complete mirror set: the pre-transposed copy (used by
-/// the historical mirrored kernels and by transpose-consuming callers) plus
-/// the packed panels the register-blocked microkernels run on.
-///
-/// Built once per weight matrix by `lm::scratch::ModelMirrors` and
-/// revalidated by fingerprint; see there for the staleness rules.
-#[derive(Debug, Clone)]
-pub struct WeightMirror {
-    /// `W^T`, row-major (`cols × rows`).
-    pub transposed: Matrix,
-    /// `W` packed into `MR`-row panels.
-    pub packed: PackedMatrix,
-}
-
-impl WeightMirror {
-    /// Builds both mirrors of a weight matrix.
-    pub fn build(w: &Matrix) -> WeightMirror {
-        WeightMirror {
-            transposed: w.transpose(),
-            packed: PackedMatrix::pack(w),
-        }
     }
 }
 
@@ -571,13 +547,5 @@ mod tests {
             }
         }
         assert_eq!(pm.packed_bytes(), 2 * 5 * MR * 4);
-    }
-
-    #[test]
-    fn weight_mirror_carries_both_layouts() {
-        let w = sample(9, 4);
-        let mw = WeightMirror::build(&w);
-        assert_eq!(mw.transposed.shape(), (4, 9));
-        assert_eq!((mw.packed.rows(), mw.packed.cols()), (9, 4));
     }
 }

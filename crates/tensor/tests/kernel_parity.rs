@@ -3,7 +3,7 @@
 //! The optimisation contract of `crates/tensor` is that unrolling runs only
 //! across independent outputs, so no floating-point reduction is ever
 //! reordered: for *any* shape, values (including exact zeros, negatives and
-//! denormals) and active-index mask, the optimised `_into` / mirrored /
+//! denormals) and active-index mask, the optimised `_into` / packed /
 //! threaded kernels must produce **bit-for-bit** the same output as the
 //! pre-optimisation scalar loops in `tensor::reference`.
 
@@ -75,13 +75,6 @@ proptest! {
         m.matvec_into(x, &mut into).unwrap();
         assert_bits_eq(&into, &naive, "matvec_into");
 
-        // the dense mirrored kernel accumulates per output in the same
-        // ascending-column order as the sequential row dot
-        let mirror = m.transpose();
-        let mut mirrored = vec![f32::NAN; rows];
-        m.matvec_mirrored(&mirror, x, &mut mirrored).unwrap();
-        assert_bits_eq(&mirrored, &naive, "matvec_mirrored");
-
         // the packed register-blocked kernels, under every dispatch choice
         let pm = PackedMatrix::pack(&m);
         for_each_arch(|arch| {
@@ -113,11 +106,6 @@ proptest! {
         let mut into = vec![f32::NAN; rows];
         m.matvec_cols_into(x, &active, &mut into).unwrap();
         assert_bits_eq(&into, &naive, "matvec_cols_into");
-
-        let mirror = m.transpose();
-        let mut mirrored = vec![f32::NAN; rows];
-        m.matvec_cols_mirrored(&mirror, x, &active, &mut mirrored).unwrap();
-        assert_bits_eq(&mirrored, &naive, "matvec_cols_mirrored");
 
         let pm = PackedMatrix::pack(&m);
         for_each_arch(|arch| {
@@ -190,11 +178,6 @@ proptest! {
         let mut fused = vec![f32::NAN; k * rows];
         m.matvec_batch_into(xs, k, &mut fused).unwrap();
         assert_bits_eq(&fused, &naive, "matvec_batch_into");
-
-        let mirror = m.transpose();
-        let mut mirrored = vec![f32::NAN; k * rows];
-        m.matvec_batch_mirrored(&mirror, xs, k, &mut mirrored).unwrap();
-        assert_bits_eq(&mirrored, &naive, "matvec_batch_mirrored");
 
         for pool in [WorkerPool::new(0), WorkerPool::new(3)] {
             let mut threaded = vec![f32::NAN; k * rows];
@@ -304,12 +287,11 @@ proptest! {
     }
 }
 
-/// The batched mirrored kernel switches to a register-tiled segment walk
-/// for tall batches (k ≥ 16); force both shapes past every segment and
+/// Tall batches (prefill chunks) at shapes past every row-quad and
 /// remainder boundary, including the exact production prefill shape
 /// (chunk 64 at phi3-mini dims).
 #[test]
-fn tall_batch_mirrored_parity_hits_the_tiled_path() {
+fn tall_batch_parity_matches_reference() {
     for (rows, cols, k) in [
         (70usize, 70usize, 24usize),
         (320, 96, 64),
@@ -321,16 +303,11 @@ fn tall_batch_mirrored_parity_hits_the_tiled_path() {
             .map(|i| ((i * 2654435761usize) % 997) as f32 / 331.0 - 1.5)
             .collect();
         let m = Matrix::from_vec(rows, cols, data).unwrap();
-        let mirror = m.transpose();
         let xs: Vec<f32> = (0..k * cols)
             .map(|i| ((i * 40503) % 641) as f32 / 127.0 - 2.5)
             .collect();
         let mut naive = vec![0.0f32; k * rows];
         reference::matvec_batch_into(&m, &xs, k, &mut naive);
-        let mut tiled = vec![f32::NAN; k * rows];
-        m.matvec_batch_mirrored(&mirror, &xs, k, &mut tiled)
-            .unwrap();
-        assert_bits_eq(&tiled, &naive, "matvec_batch_mirrored (tiled)");
         let mut fused = vec![f32::NAN; k * rows];
         m.matvec_batch_into(&xs, k, &mut fused).unwrap();
         assert_bits_eq(&fused, &naive, "matvec_batch_into (tall)");
